@@ -1,11 +1,6 @@
 """stormgrid: coupled power/road network hurricane restoration simulator."""
 
-from .coupling import (
-    RoadIndex,
-    component_accessible,
-    fuel_route_available,
-    plant_operational,
-)
+from .coupling import RoadIndex, component_accessible, fuel_route_available
 from .engine import (
     ExperimentResult,
     HourRecord,
@@ -61,9 +56,6 @@ from .network import (
     Status,
     TrafficLight,
     load_networks,
-    powered_households,
-    powered_set,
-    powered_traffic_lights,
 )
 from .restoration import (
     CrewPool,
@@ -71,8 +63,6 @@ from .restoration import (
     RepairJob,
     RestorationState,
     Strategy,
-    priority_order,
-    schedule_tick,
 )
 from .testbed import TestbedParams, generate_testbed
 

@@ -144,8 +144,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except ValueError as exc:
         raise FormatError(path, 0, str(exc)) from exc
 
-    sub_params = SubstationFragilityParams.from_medians()
-    if "substation_fragility" in raw:
+    if "substation_fragility" not in raw:
+        sub_params = SubstationFragilityParams.from_medians()
+    else:
         spec = raw["substation_fragility"]
         medians, sigmas = {}, {}
         for lv in DamageLevel:

@@ -142,25 +142,21 @@ def fuel_route_available(
     flood: FloodState,
     scenario: HazardScenario,
     index: RoadIndex | None = None,
+    fuel_nodes: dict[str, str] | None = None,
 ) -> bool:
-    """Does any passable route reach the plant from its fuel source?"""
+    """Does any passable route reach the plant from its fuel source?
+
+    A plant runs only while this holds (when the fuel coupling is on).
+    ``fuel_nodes`` is :func:`resolve_fuel_nodes` for the same scenario,
+    resolved here when not given.
+    """
     if not scenario.fuel_dependence:
         return True
     index = index or RoadIndex(roads)
-    fuel_nodes = resolve_fuel_nodes(net, roads, scenario, index)
+    if fuel_nodes is None:
+        fuel_nodes = resolve_fuel_nodes(net, roads, scenario, index)
     source = index.pos[fuel_nodes[plant.id]]
     target = index.pos[component_road_node(plant, roads)]
     labels = index.labels_for(flood.passable_mask(scenario.passable_threshold_in))
     return bool(labels[source] == labels[target])
 
-
-def plant_operational(
-    plant: PowerComponent,
-    net: PowerNetwork,
-    roads: RoadNetwork,
-    flood: FloodState,
-    scenario: HazardScenario,
-    index: RoadIndex | None = None,
-) -> bool:
-    """Plants run only while fuel can reach them (when the coupling is on)."""
-    return fuel_route_available(plant, net, roads, flood, scenario, index)

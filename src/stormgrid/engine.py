@@ -4,7 +4,13 @@ Each replication: sample wind failures once at hour 0, then step hour by
 hour; floodwater drains, due repairs complete, grid connectivity and the two
 quality fractions are remeasured, and new repair jobs start under the chosen
 strategy, until every failed component is repaired and every household has
-power again.
+power again. A failure draw containing a job larger than the whole crew pool
+is rejected at hour 0, since that job could never start.
+
+The failure draw writes each component's status and damage level; from
+then on the replication owns its state: a conducting mask over components,
+the set of pending (failed, not yet started) components and the active job
+list. Nothing after hour 0 is written onto the network objects.
 
 Seeding is layered so comparisons are paired: the failure draw comes from a
 substream of the replication seed that no strategy-dependent code touches,
@@ -20,10 +26,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .coupling import RoadIndex, component_road_node, resolve_fuel_nodes
+from .coupling import RoadIndex, fuel_route_available, resolve_fuel_nodes
 from .errors import ConfigError, SimulationCapError
 from .fragility import FragilityConfig, RepairModel, sample_failures
-from .hazard import FloodState, HazardScenario, drain_step, initial_flood
+from .hazard import HazardScenario, drain_step, initial_flood
 from .metrics import QualitySeries, normal_ci_halfwidth
 from .network import Household, PowerNetwork, RoadNetwork
 from .restoration import (
@@ -72,8 +78,10 @@ class SimulationContext:
     """Static per-network state shared across replications and strategies.
 
     Holds the integer indexes, the prioritizer (with its road-distance
-    caches), and the household/light attachment arrays. Replications mutate
-    only component statuses and must run one at a time per context.
+    caches), and the household/light attachment arrays. Nothing here changes
+    during a replication except those caches. The hour-0 failure draw is
+    still written onto the components (``status``, ``damage_level``), so
+    replications run one at a time per context.
     """
 
     def __init__(
@@ -92,29 +100,6 @@ class SimulationContext:
         self.light_feed = self.prioritizer.light_feed
         self.plant_pos = self.index.plant_idx
         self.plant_ids = list(net.plants)
-        self.plant_road_node = {
-            pid: self.road_index.pos[component_road_node(net.components[pid], roads)]
-            for pid in self.plant_ids
-        }
-
-
-def _fuel_ok(
-    ctx: SimulationContext,
-    scenario: HazardScenario,
-    fuel_nodes: dict[str, str],
-    flood: FloodState,
-) -> dict[str, bool]:
-    if not scenario.fuel_dependence:
-        return {pid: True for pid in ctx.plant_ids}
-    labels = ctx.road_index.labels_for(
-        flood.passable_mask(scenario.passable_threshold_in)
-    )
-    out = {}
-    for pid in ctx.plant_ids:
-        src = ctx.road_index.pos[fuel_nodes[pid]]
-        dst = ctx.plant_road_node[pid]
-        out[pid] = bool(labels[src] == labels[dst])
-    return out
 
 
 def run_replication(
@@ -145,6 +130,14 @@ def run_replication(
     fuel_nodes = resolve_fuel_nodes(net, roads, scenario, ctx.road_index)
 
     failed = sample_failures(net, scenario, fragility, failure_rng)
+    for cid in failed:
+        comp = net.components[cid]
+        crews = repair_model.spec_for(comp.kind, comp.damage_level).crews
+        if crews > teams:
+            raise ConfigError(
+                f"failed component {cid} needs {crews} crews but the pool has "
+                f"{teams} teams, so its job could never start (seed {seed})"
+            )
     pending = set(failed)
     alive = np.ones(len(idx.ids), dtype=bool)
     for cid in failed:
@@ -166,22 +159,16 @@ def run_replication(
             [p for p in ctx.plant_pos if fuel_ok[idx.ids[p]]], dtype=np.intp
         )
         powered = idx.powered_mask(alive, live_plants)
-        hh_powered = (
-            powered[ctx.hh_attach] if len(households) else np.ones(0, dtype=bool)
-        )
-        light_powered = (
-            powered[ctx.light_feed]
-            if len(ctx.light_feed)
-            else np.ones(0, dtype=bool)
-        )
-        q_hh = float(hh_powered.mean()) if len(households) else 1.0
-        q_tl = float(light_powered.mean()) if len(ctx.light_feed) else 1.0
+        hh_powered = powered[ctx.hh_attach]
+        light_powered = powered[ctx.light_feed]
+        q_hh = float(hh_powered.mean()) if hh_powered.size else 1.0
+        q_tl = float(light_powered.mean()) if light_powered.size else 1.0
 
     for hour in range(hard_cap + 1):
         if hour > 0:
             flood = drain_step(flood, scenario)
 
-        completed = complete_due_jobs(state, net, hour) if hour > 0 else []
+        completed = complete_due_jobs(state, hour) if hour > 0 else []
         for cid in completed:
             alive[idx.pos[cid]] = True
             events.append((hour, "repaired", cid))
@@ -192,7 +179,13 @@ def run_replication(
 
         fuel_changed = False
         if hour == 0 or (passable_changed and scenario.fuel_dependence):
-            new_fuel = _fuel_ok(ctx, scenario, fuel_nodes, flood)
+            new_fuel = {
+                pid: fuel_route_available(
+                    net.components[pid], net, roads, flood, scenario,
+                    ctx.road_index, fuel_nodes,
+                )
+                for pid in ctx.plant_ids
+            }
             fuel_changed = new_fuel != fuel_ok
             if fuel_changed:
                 for pid, ok in new_fuel.items():
@@ -248,9 +241,6 @@ def run_replication(
                 "seed": seed,
             },
         )
-
-    for hh in households:
-        hh.powered = True
 
     hh_series = _series_from_records(records, lambda r: r.q_households)
     tl_series = _series_from_records(records, lambda r: r.q_traffic_lights)

@@ -213,9 +213,6 @@ class RepairModel:
                 f"no repair row for kind={kind.value} damage={name}"
             ) from None
 
-    def crews_for(self, component: PowerComponent) -> int:
-        return self.spec_for(component.kind, component.damage_level).crews
-
 
 def sample_repair(
     component: PowerComponent,

@@ -2,9 +2,10 @@
 
 The power grid is an undirected graph whose nodes are typed components
 (plants, substations, towers, lines, poles, conductors). Service is binary:
-a component is energized when it can reach an operational plant through
-components that are neither failed nor under repair. Households and traffic
-lights hang off the grid through attachment/feeding component ids.
+a component is energized when it can reach a fueled plant through components
+that conduct; the replication engine owns which components conduct each
+hour. Households and traffic lights hang off the grid through
+attachment/feeding component ids.
 
 Network files are line-record text: one record per line, ``#`` comments,
 whitespace-separated typed columns (see README for the three schemas).
@@ -37,23 +38,11 @@ class ComponentKind(enum.Enum):
     CONDUCTOR = "conductor"
 
 
-#: Kinds in the transmission/critical restoration tier (plants never fail).
-CRITICAL_KINDS = frozenset(
-    {ComponentKind.SUBSTATION, ComponentKind.TOWER, ComponentKind.LINE}
-)
-#: Kinds in the distribution restoration tier.
-DISTRIBUTION_KINDS = frozenset({ComponentKind.POLE, ComponentKind.CONDUCTOR})
-
-
 class Status(enum.Enum):
+    """Outcome of the hour-0 failure draw; repairs are tracked by the engine."""
+
     OPERATIONAL = "operational"
     FAILED = "failed"
-    UNDER_REPAIR = "under_repair"
-    REPAIRED = "repaired"
-
-
-#: Statuses that conduct electricity. Repaired equals operational for service.
-CONDUCTING = frozenset({Status.OPERATIONAL, Status.REPAIRED})
 
 
 class DamageLevel(enum.Enum):
@@ -70,11 +59,6 @@ class PowerComponent:
     status: Status = Status.OPERATIONAL
     damage_level: DamageLevel | None = None
     nearest_road_link: str | None = None
-    crews_required: int = 1
-    repair_hours_remaining: float = 0.0
-
-    def conducting(self) -> bool:
-        return self.status in CONDUCTING
 
 
 @dataclass
@@ -82,7 +66,6 @@ class Household:
     id: str
     location: tuple[float, float]
     attachment: str
-    powered: bool = True
 
 
 @dataclass
@@ -138,18 +121,18 @@ class PowerNetwork:
         return self._index
 
     def reset_statuses(self) -> None:
-        """Return every component to pristine operational state."""
+        """Clear the previous failure draw from every component."""
         for comp in self.components.values():
             comp.status = Status.OPERATIONAL
             comp.damage_level = None
-            comp.repair_hours_remaining = 0.0
 
 
 class PowerIndex:
     """Integer-indexed static view of a power network for fast connectivity.
 
-    Built once per network; statuses stay on the component objects and are
-    passed in as a boolean "conducting" mask per query.
+    Built once per network and never mutated. Which components conduct is
+    per-replication state that the caller owns and passes in as a boolean
+    mask per query.
     """
 
     def __init__(self, net: PowerNetwork):
@@ -164,6 +147,7 @@ class PowerIndex:
         data = np.ones(len(rows), dtype=np.int8)
         self.adjacency = csr_matrix((data, (rows, cols)), shape=(n, n))
         self.plant_idx = np.array([self.pos[p] for p in net.plants], dtype=np.intp)
+        self._plant_set = frozenset(self.plant_idx.tolist())
         # BFS forest rooted at the plants over the pristine graph. Used for
         # canonical upstream paths and per-substation service areas; for a
         # radial grid the forest is the grid itself.
@@ -226,16 +210,10 @@ class PowerIndex:
         """Component indices from ``idx`` up to (and excluding) its plant."""
         path = []
         u = idx
-        while u >= 0 and u not in set(self.plant_idx.tolist()):
+        while u >= 0 and u not in self._plant_set:
             path.append(u)
             u = int(self.parent[u])
         return path
-
-    def conducting_mask(self, net: PowerNetwork) -> np.ndarray:
-        mask = np.empty(len(self.ids), dtype=bool)
-        for i, cid in enumerate(self.ids):
-            mask[i] = net.components[cid].conducting()
-        return mask
 
     def powered_mask(
         self, conducting: np.ndarray, plant_idx: np.ndarray | None = None
@@ -243,7 +221,9 @@ class PowerIndex:
         """Boolean mask of components connected to an operational plant.
 
         Connectivity runs over the subgraph induced by conducting components;
-        failed or under-repair components block propagation entirely.
+        a component that does not conduct (failed, or under repair) blocks
+        propagation entirely. ``plant_idx`` lists the live (fueled) plants;
+        by default every plant is live.
         """
         if plant_idx is None:
             plant_idx = self.plant_idx
@@ -260,59 +240,6 @@ class PowerIndex:
         hit = np.isin(labels, list(plant_labels))
         powered[alive_nodes[hit]] = True
         return powered
-
-
-def powered_set(
-    net: PowerNetwork, operational_plants: set[str] | None = None
-) -> set[str]:
-    """Ids of all components electrically connected to an operational plant.
-
-    ``operational_plants`` restricts which plants count as live roots (the
-    hourly fuel predicate); by default every plant is live.
-    """
-    idx = net.index
-    conducting = idx.conducting_mask(net)
-    if operational_plants is None:
-        plant_idx = idx.plant_idx
-    else:
-        plant_idx = np.array(
-            [idx.pos[p] for p in net.plants if p in operational_plants],
-            dtype=np.intp,
-        )
-    mask = idx.powered_mask(conducting, plant_idx)
-    return {idx.ids[i] for i in np.flatnonzero(mask)}
-
-
-def powered_households(
-    net: PowerNetwork,
-    households: list[Household],
-    powered: set[str] | None = None,
-) -> float:
-    """Fraction of households whose attachment is powered; updates booleans."""
-    if powered is None:
-        powered = powered_set(net)
-    if not households:
-        return 1.0
-    count = 0
-    for hh in households:
-        hh.powered = hh.attachment in powered
-        count += hh.powered
-    return count / len(households)
-
-
-def powered_traffic_lights(
-    net: PowerNetwork,
-    roads: RoadNetwork,
-    powered: set[str] | None = None,
-) -> float:
-    """Fraction of traffic lights whose feeding component is powered."""
-    if powered is None:
-        powered = powered_set(net)
-    lights = roads.traffic_lights
-    if not lights:
-        return 1.0
-    count = sum(1 for tl in lights.values() if tl.feed_component in powered)
-    return count / len(lights)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +465,12 @@ def load_networks(
         fuel_source=fuel_source,
     )
 
-    powered = powered_set(net)
+    idx = net.index
+    powered = idx.powered_mask(np.ones(len(idx.ids), dtype=bool))
     for hh in households:
-        if hh.attachment not in powered:
+        if not powered[idx.pos[hh.attachment]]:
             raise DisconnectedGridError(
                 f"household {hh.id} (attachment {hh.attachment}) cannot reach a plant "
                 "in the pristine network"
             )
-        hh.powered = True
     return net, roads, households

@@ -15,10 +15,10 @@ lines) ahead of the distribution tier (poles, conductors):
 Scheduling walks the priority list each hour and starts jobs in order. The
 highest-ranked accessible job that is short of free crews holds the rest of
 the list, so crews freed by later completions build up for it instead of
-going to lower-ranked work. Two kinds of job are skipped rather than held: a
-component whose road link is still flooded (lower tiers start ahead of
-flood-blocked critical work) and a job demanding more crews than the whole
-pool (it can never start). Jobs are non-preemptive.
+going to lower-ranked work. A component whose road link is still flooded is
+skipped rather than held, so lower tiers start ahead of flood-blocked
+critical work. No job can demand more crews than the whole pool: the engine
+rejects such a failure draw at hour 0. Jobs are non-preemptive.
 """
 
 from __future__ import annotations
@@ -32,15 +32,7 @@ import numpy as np
 from .coupling import RoadIndex, component_accessible, component_road_node
 from .fragility import RepairModel, sample_repair
 from .hazard import FloodState, HazardScenario
-from .network import (
-    CRITICAL_KINDS,
-    ComponentKind,
-    Household,
-    PowerNetwork,
-    RoadNetwork,
-    Status,
-    powered_set,
-)
+from .network import ComponentKind, Household, PowerNetwork, RoadNetwork
 
 
 class Strategy(enum.Enum):
@@ -107,9 +99,6 @@ class Prioritizer:
         households: list[Household],
         road_index: RoadIndex | None = None,
     ):
-        self.net = net
-        self.roads = roads
-        self.households = households
         self.index = net.index
         self.road_index = road_index or RoadIndex(roads)
 
@@ -142,7 +131,6 @@ class Prioritizer:
         }
 
         lights = list(roads.traffic_lights.values())
-        self.light_ids = [tl.id for tl in lights]
         self.light_feed = np.array(
             [idx.pos[tl.feed_component] for tl in lights], dtype=np.intp
         )
@@ -198,21 +186,6 @@ class Prioritizer:
 
     # -- per-tick service state ----------------------------------------------
 
-    def _hh_powered(self, hh_powered: np.ndarray | None) -> np.ndarray:
-        if hh_powered is not None:
-            return hh_powered
-        powered = powered_set(self.net)
-        return np.array([hh.attachment in powered for hh in self.households])
-
-    def _light_powered(self, light_powered: np.ndarray | None) -> np.ndarray:
-        if light_powered is not None:
-            return light_powered
-        powered = powered_set(self.net)
-        lights = self.roads.traffic_lights
-        return np.array(
-            [lights[lid].feed_component in powered for lid in self.light_ids]
-        )
-
     def _unpowered_households_below(self, sub: int, hh_powered: np.ndarray) -> int:
         members = self.hh_by_sub.get(sub)
         if members is None or members.size == 0:
@@ -258,20 +231,27 @@ class Prioritizer:
         flood: FloodState | None,
         scenario: HazardScenario,
         rng: np.random.Generator,
-        hh_powered: np.ndarray | None = None,
-        light_powered: np.ndarray | None = None,
+        hh_powered: np.ndarray,
+        light_powered: np.ndarray,
     ) -> list[str]:
+        """Pending component ids in repair order.
+
+        ``hh_powered`` is this hour's service mask over households (aligned
+        with ``hh_attach``) and ``light_powered`` over traffic lights
+        (aligned with ``light_feed``).
+        """
         ids = self.index.ids
         pos = self.index.pos
         comp_idx = sorted(pos[cid] for cid in failed)
-        hh_pow = self._hh_powered(hh_powered)
 
         if strategy is Strategy.COMPONENT_BASED:
             subs = [c for c in comp_idx if self.is_sub[c]]
             trans = [c for c in comp_idx if self.is_transmission[c]]
             dcs = [c for c in comp_idx if self.is_distribution[c]]
             subs.sort(
-                key=lambda c: (-self._unpowered_households_below(c, hh_pow), ids[c])
+                key=lambda c: (
+                    -self._unpowered_households_below(c, hh_powered), ids[c]
+                )
             )
             shuffled = [dcs[i] for i in rng.permutation(len(dcs))]
             return [ids[c] for c in subs + trans + shuffled]
@@ -279,42 +259,32 @@ class Prioritizer:
         to_plant, from_sub = self._distances(flood, scenario)
 
         if strategy is Strategy.DISTANCE_BASED:
-            ordered = self._distance_blocks(comp_idx, to_plant, from_sub, hh_pow)
+            ordered = self._distance_blocks(comp_idx, to_plant, from_sub, hh_powered)
             return [ids[c] for c in ordered]
 
         if strategy is Strategy.TRAFFIC_LIGHT_BASED:
-            light_pow = self._light_powered(light_powered)
-            first = [c for c in comp_idx if self._feeds_unpowered_light(c, light_pow)]
-            rest = [c for c in comp_idx if not self._feeds_unpowered_light(c, light_pow)]
+            first = [
+                c for c in comp_idx if self._feeds_unpowered_light(c, light_powered)
+            ]
+            rest = [
+                c
+                for c in comp_idx
+                if not self._feeds_unpowered_light(c, light_powered)
+            ]
             f_trans = [c for c in first if self.is_transmission[c]]
             f_subs = [c for c in first if self.is_sub[c]]
             f_dcs = [c for c in first if self.is_distribution[c]]
             f_trans.sort(key=lambda c: (self._dist_tc(c, to_plant), ids[c]))
             f_subs.sort(
-                key=lambda c: (-self._unpowered_lights_below(c, light_pow), ids[c])
+                key=lambda c: (
+                    -self._unpowered_lights_below(c, light_powered), ids[c]
+                )
             )
             f_dcs.sort(key=lambda c: (self._dist_dc(c, from_sub), ids[c]))
-            second = self._distance_blocks(rest, to_plant, from_sub, hh_pow)
+            second = self._distance_blocks(rest, to_plant, from_sub, hh_powered)
             return [ids[c] for c in f_trans + f_subs + f_dcs + second]
 
         raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def priority_order(
-    strategy: Strategy,
-    failed: Iterable[str],
-    net: PowerNetwork,
-    roads: RoadNetwork,
-    flood: FloodState | None = None,
-    scenario: HazardScenario | None = None,
-    households: list[Household] | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[str]:
-    """One-shot strategy ordering; see :class:`Prioritizer` for the hot path."""
-    scenario = scenario or HazardScenario()
-    rng = rng if rng is not None else np.random.default_rng(0)
-    prio = Prioritizer(net, roads, households or [])
-    return prio.order(strategy, failed, flood, scenario, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +304,16 @@ class RestorationState:
         return sum(job.crews for job in self.active)
 
 
-def complete_due_jobs(
-    state: RestorationState, net: PowerNetwork, hour: int
-) -> list[str]:
+def complete_due_jobs(state: RestorationState, hour: int) -> list[str]:
     """Finish jobs whose time has elapsed; credit their crews back."""
     done: list[str] = []
     still: list[RepairJob] = []
     for job in state.active:
-        comp = net.components[job.component_id]
         if job.done_at() <= hour:
-            comp.status = Status.REPAIRED
-            comp.repair_hours_remaining = 0.0
             state.pool.credit(job.crews)
             state.completed.append(job)
             done.append(job.component_id)
         else:
-            comp.repair_hours_remaining = float(job.done_at() - hour)
             still.append(job)
     state.active = still
     return done
@@ -367,31 +331,23 @@ def start_pending_jobs(
 ) -> list[RepairJob]:
     """Walk the priority list and start jobs in order while crews allow.
 
+    ``order`` holds pending components only (none already under repair).
     The walk stops at the first accessible job whose crew demand exceeds the
-    free crews but not the pool: that job holds every job ranked below it
-    until enough crews are free. A component whose road link is impassable
-    is skipped, so accessible work further down the list still starts. A job
-    whose crew demand exceeds the whole pool is skipped too; it can never
-    start, and the replication ends in the hard-cap diagnostic, so size the
-    pool to the largest requirement.
+    free crews: that job holds every job ranked below it until enough crews
+    are free. A component whose road link is impassable is skipped, so
+    accessible work further down the list still starts. Every job fits the
+    whole pool; the engine rejects larger demands at hour 0.
     """
     started: list[RepairJob] = []
     pool = state.pool
     for cid in order:
         comp = net.components[cid]
-        if comp.status is not Status.FAILED:
-            continue
         if not component_accessible(comp, flood, scenario):
             continue
         spec = repair_model.spec_for(comp.kind, comp.damage_level)
-        if spec.crews > pool.total:
-            continue
         if spec.crews > pool.available:
             break
         duration, _ = sample_repair(comp, repair_model, duration_rng(cid))
-        comp.status = Status.UNDER_REPAIR
-        comp.crews_required = spec.crews
-        comp.repair_hours_remaining = float(duration)
         pool.debit(spec.crews)
         job = RepairJob(
             component_id=cid, start_hour=hour, duration_hours=duration,
@@ -400,37 +356,3 @@ def start_pending_jobs(
         state.active.append(job)
         started.append(job)
     return started
-
-
-def schedule_tick(
-    state: RestorationState,
-    strategy: Strategy,
-    net: PowerNetwork,
-    roads: RoadNetwork,
-    households: list[Household],
-    flood: FloodState,
-    scenario: HazardScenario,
-    repair_model: RepairModel,
-    hour: int,
-    rng: np.random.Generator,
-    prioritizer: Prioritizer | None = None,
-    duration_rng: DurationRng | None = None,
-) -> tuple[list[str], list[RepairJob]]:
-    """One scheduling pass: complete due jobs, then start what fits.
-
-    Returns (completed component ids, started jobs). The simulation engine
-    calls the two phases separately so quality is measured between them; this
-    composition serves direct use and tests.
-    """
-    completed = complete_due_jobs(state, net, hour)
-    prio = prioritizer or Prioritizer(net, roads, households)
-    failed = [
-        cid for cid, c in net.components.items() if c.status is Status.FAILED
-    ]
-    order = prio.order(strategy, failed, flood, scenario, rng)
-    if duration_rng is None:
-        duration_rng = lambda cid: rng  # noqa: E731 - shared stream fallback
-    started = start_pending_jobs(
-        state, order, net, flood, scenario, repair_model, hour, duration_rng
-    )
-    return completed, started

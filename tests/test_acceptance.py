@@ -38,7 +38,7 @@ from stormgrid.metrics import (
     resilience_loss,
     restoration_quantiles,
 )
-from stormgrid.network import DamageLevel, Status, load_networks, powered_set
+from stormgrid.network import DamageLevel, load_networks
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
@@ -187,11 +187,12 @@ def test_criterion_03_connectivity_oracle():
                 edges.append((ids[a], ids[b]))
         net, _ = make_power(comps, edges)
         k = int(rng.integers(0, min(8, n)))
-        for cid in rng.choice(ids[1:], size=min(k, n - 1), replace=False):
-            net.components[cid].status = Status.FAILED
-        conducting = {cid: c.conducting() for cid, c in net.components.items()}
+        down = set(rng.choice(ids[1:], size=min(k, n - 1), replace=False))
+        conducting = {cid: cid not in down for cid in net.components}
         expected = oracles.bfs_powered(net.components, net.edges, net.plants, conducting)
-        assert powered_set(net) == expected, f"trial {trial}"
+        idx = net.index
+        mask = idx.powered_mask(np.array([conducting[cid] for cid in idx.ids]))
+        assert {idx.ids[i] for i in np.flatnonzero(mask)} == expected, f"trial {trial}"
     print("PASS criterion 3: powered set equals naive reachability on 1000 graphs")
 
 

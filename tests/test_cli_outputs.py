@@ -1,8 +1,10 @@
 """CLI parsing, scenario files, testbed round-trips, and output emission."""
 
 import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from stormgrid.cli import load_scenario, main, parse_cli
@@ -22,6 +24,13 @@ def testbed_files(tmp_path_factory):
     return generate_testbed(
         TestbedParams(grid_size=5, households=80, substations=1, seed=2), out
     )
+
+
+def all_households_powered(net, households):
+    """Every household's attachment reaches a plant in the pristine grid."""
+    idx = net.index
+    powered = idx.powered_mask(np.ones(len(idx.ids), dtype=bool))
+    return all(powered[idx.pos[hh.attachment]] for hh in households)
 
 
 class TestParseCli:
@@ -172,7 +181,7 @@ class TestTestbed:
         )
         assert len(households) == 80
         assert all(c.nearest_road_link for c in net.components.values())
-        assert all(hh.powered for hh in households)
+        assert all_households_powered(net, households)
 
     def test_deterministic_bytes(self, tmp_path):
         params = TestbedParams(grid_size=4, households=30, substations=1, seed=9)
@@ -200,7 +209,7 @@ class TestTestbed:
             paths["power"], paths["roads"], paths["couplings"]
         )
         assert len(households) == 4
-        assert all(hh.powered for hh in households)
+        assert all_households_powered(net, households)
 
     def test_express_feeders_load(self, tmp_path):
         paths = generate_testbed(
@@ -211,7 +220,7 @@ class TestTestbed:
         net, _, households = load_networks(
             paths["power"], paths["roads"], paths["couplings"]
         )
-        assert all(hh.powered for hh in households)
+        assert all_households_powered(net, households)
 
     def test_infeasible_params(self):
         with pytest.raises(ConfigError):
@@ -342,6 +351,30 @@ class TestMainEndToEnd:
         assert (tmp_path / "tb/power.txt").is_file()
         assert (tmp_path / "tb/scenario.json").is_file()
 
+    def test_job_larger_than_pool_exits_2_at_hour_zero(
+        self, testbed_files, tmp_path, capsys
+    ):
+        # at 240 mph the substation takes complete damage: 60 crews, 6 teams
+        scenario = tmp_path / "extreme.json"
+        raw = json.loads(testbed_files["scenario"].read_text())
+        scenario.write_text(json.dumps(dict(raw, wind_mph=240.0)))
+        rc = main([
+            "simulate",
+            "--power", str(testbed_files["power"]),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(scenario),
+            "--strategy", "distance",
+            "--teams", "6",
+            "--min-reps", "2",
+            "--max-reps", "2",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "needs 60 crews" in err and "6 teams" in err
+        assert not (tmp_path / "res").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main([
             "simulate", "--power", "missing.txt", "--roads", "missing.txt",
@@ -372,3 +405,47 @@ class TestMainEndToEnd:
         rows = (tmp_path / "nodeps/timeseries.csv").read_text().splitlines()[1:]
         q_first = float(rows[0].split(",")[2])
         assert q_first > 0.0
+
+
+class TestPinnedOutputs:
+    """Byte-for-byte outputs of one small configuration, pinned by sha256.
+
+    The digests were recorded before the replication state moved off the
+    network objects. A change that alters any of them changes simulation
+    results and must say so.
+    """
+
+    DIGESTS = {
+        "summary.json":
+            "10317466bc5ce762cd4c4f1eae4fcf8bd9d56dc6dfd4861f742793d14dc84556",
+        "timeseries_component.csv":
+            "e82fb12bd5be899ef7df295fa29281870bd2ea40a0154402b287511226396e45",
+        "timeseries_distance.csv":
+            "570ad32f65816a2ae5c3c597e0bdbb7375f71f7b586347f6a5e8264526741470",
+        "timeseries_traffic-light.csv":
+            "054a78604fde3df5261a92cb20ebafed3d33dbb80b72939ff9f320dac6b593b3",
+    }
+
+    def test_small_testbed_outputs_unchanged(self, tmp_path):
+        files = generate_testbed(
+            TestbedParams(grid_size=6, households=150, substations=2, seed=3,
+                          wind_mph=95.0),
+            tmp_path / "tb",
+        )
+        rc = main([
+            "simulate",
+            "--power", str(files["power"]),
+            "--roads", str(files["roads"]),
+            "--couplings", str(files["couplings"]),
+            "--scenario", str(files["scenario"]),
+            "--teams", "8",
+            "--min-reps", "3",
+            "--max-reps", "3",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 0
+        written = {p.name: p for p in (tmp_path / "res").iterdir()}
+        assert set(written) == set(self.DIGESTS)
+        for name, digest in self.DIGESTS.items():
+            actual = hashlib.sha256(written[name].read_bytes()).hexdigest()
+            assert actual == digest, name

@@ -5,10 +5,13 @@ from stormgrid.coupling import (
     component_accessible,
     component_road_node,
     fuel_route_available,
-    plant_operational,
     resolve_fuel_nodes,
 )
+from stormgrid.engine import run_replication
+from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, drain_step, initial_flood
+from stormgrid.network import assign_nearest_road_links
+from stormgrid.restoration import Strategy
 
 from .conftest import make_power, make_roads
 
@@ -125,14 +128,26 @@ class TestFuelRoute:
 
 class TestPlantOperational:
     def test_mirrors_fuel_route(self):
-        net, roads = plant_with_roads()
-        sc = HazardScenario(initial_runoff_in=12.0)
-        flood = initial_flood(sc, roads.link_ids)
+        # the engine runs the plant exactly in the hours the fuel route is open
+        roads = grid_roads()
+        net, hh = make_power(
+            [("P", "plant", 0, 0), ("D", "pole", 10, 0)], [("P", "D")],
+            households=["D"], fuel={"P": "N3_3"},
+        )
+        assign_nearest_road_links(net.components, roads)
+        sc = HazardScenario(wind_mph=0.0, initial_runoff_in=12.0)
+        res = run_replication(
+            net, roads, hh, sc, FragilityConfig(), RepairModel(),
+            Strategy.DISTANCE_BASED, teams=1, seed=0,
+        )
+        assert res.initial_failures == []
+        assert res.households.t1 == 16
         plant = net.components["P"]
-        assert plant_operational(plant, net, roads, flood, sc) is False
-        for _ in range(16):
+        flood = initial_flood(sc, roads.link_ids)
+        for hour, q in res.households.samples:
+            assert (q == 1.0) is fuel_route_available(plant, net, roads, flood, sc)
+            assert q in (0.0, 1.0)
             flood = drain_step(flood, sc)
-        assert plant_operational(plant, net, roads, flood, sc) is True
 
     def test_monotone_over_drainage(self):
         net, roads = plant_with_roads()
@@ -141,7 +156,7 @@ class TestPlantOperational:
         plant = net.components["P"]
         was_ok = False
         for _ in range(30):
-            ok = plant_operational(plant, net, roads, flood, sc)
+            ok = fuel_route_available(plant, net, roads, flood, sc)
             assert ok or not was_ok
             was_ok = ok
             flood = drain_step(flood, sc)

@@ -18,7 +18,7 @@ from stormgrid.errors import ConfigError, SimulationCapError
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
 from stormgrid.metrics import QualitySeries, resilience_loss
-from stormgrid.network import Status, assign_nearest_road_links, load_networks
+from stormgrid.network import assign_nearest_road_links, load_networks
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
@@ -108,11 +108,6 @@ class TestRunReplication:
         assert res.records[-1].q_households == 1.0
         assert res.records[-1].failed_components == 0
 
-    def test_household_flags_true_at_end(self, small_testbed):
-        net, roads, households, cfg, ctx = small_testbed
-        run_small(small_testbed, 100.0, Strategy.DISTANCE_BASED, seed=3)
-        assert all(hh.powered for hh in households)
-
 
 class TestScriptedChain:
     """Wind cells script exactly one conductor failure on a 5-component chain."""
@@ -157,7 +152,37 @@ class TestScriptedChain:
         for hour, q in res.households.samples:
             expected = 2 / 5 if hour < duration else 1.0
             assert q == pytest.approx(expected)
-        assert net.components["CO"].status is Status.REPAIRED
+        assert res.events == [
+            (0, "failed", "CO"),
+            (0, "fuel_restored", "P"),
+            (0, "job_started", "CO"),
+            (duration, "repaired", "CO"),
+        ]
+
+    def test_job_larger_than_pool_fails_at_hour_zero(self):
+        net, roads, hh = self._chain()
+        # 160 mph over the line only: its job needs 4 crews, the pool has 3
+        hazard = HazardScenario(
+            wind_mph=[
+                WindCell(50, -10, 150, 10, 160.0),
+                WindCell(-10, -10, 500, 10, 0.0),
+            ],
+            initial_runoff_in=0.0,
+        )
+        with pytest.raises(ConfigError) as err:
+            run_replication(
+                net, roads, hh, hazard, FragilityConfig(), RepairModel(),
+                Strategy.DISTANCE_BASED, teams=3, seed=11,
+            )
+        message = str(err.value)
+        assert "LN" in message and "4 crews" in message and "3 teams" in message
+        # the same draw with a pool that fits runs to full restoration
+        res = run_replication(
+            net, roads, hh, hazard, FragilityConfig(), RepairModel(),
+            Strategy.DISTANCE_BASED, teams=4, seed=11,
+        )
+        assert "LN" in res.initial_failures
+        assert res.records[-1].q_households == 1.0
 
 
 class TestHardCap:

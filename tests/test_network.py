@@ -8,14 +8,14 @@ from stormgrid.errors import (
     DisconnectedGridError,
     FormatError,
 )
-from stormgrid.network import (
-    Household,
-    Status,
-    load_networks,
-    powered_households,
-    powered_set,
-    powered_traffic_lights,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stormgrid.engine import run_replication
+from stormgrid.fragility import FragilityConfig, RepairModel
+from stormgrid.hazard import HazardScenario, WindCell
+from stormgrid.network import Status, assign_nearest_road_links, load_networks
+from stormgrid.restoration import Strategy
 
 from .conftest import make_power, make_roads
 from .oracles import bfs_powered
@@ -27,7 +27,8 @@ class TestLoadNetworks:
         assert set(net.components) == {"P", "D"}
         assert net.plants == ["P"]
         assert len(households) == 1
-        assert households[0].powered is True
+        idx = net.index
+        assert idx.powered_mask(np.ones(len(idx.ids), dtype=bool))[idx.pos["D"]]
         assert all(c.status is Status.OPERATIONAL for c in net.components.values())
         assert net.fuel_source == {"P": "A"}
 
@@ -101,37 +102,99 @@ class TestLoadNetworks:
             load_networks(power, bad, couplings)
 
 
-def chain_net(statuses=()):
+def powered_ids(net, down=(), plants=None):
+    """Ids powered with ``down`` not conducting; ``plants`` are the live ones."""
+    idx = net.index
+    alive = np.ones(len(idx.ids), dtype=bool)
+    alive[[idx.pos[c] for c in down]] = False
+    live = None
+    if plants is not None:
+        live = np.array([idx.pos[p] for p in plants], dtype=np.intp)
+    mask = idx.powered_mask(alive, live)
+    return {idx.ids[i] for i in np.flatnonzero(mask)}
+
+
+def oracle(net, down=(), plants=None):
+    conducting = {cid: cid not in down for cid in net.components}
+    live = net.plants if plants is None else plants
+    return bfs_powered(net.components, net.edges, live, conducting)
+
+
+def chain_net():
     """plant - line - pole single path."""
     net, _ = make_power(
         [("PL", "plant", 0, 0), ("LN", "line", 1, 0), ("PO", "pole", 2, 0)],
         [("PL", "LN"), ("LN", "PO")],
     )
-    for cid, status in statuses:
-        net.components[cid].status = status
     return net
+
+
+def scripted_chain(mph_by_x, lights=(), households=True):
+    """Ten households on plant - line - poleA - conductor - poleB, 100 m apart.
+
+    ``mph_by_x`` maps a component's x coordinate to the wind it sees, so a
+    160 mph cell scripts exactly that component's failure (conductors and
+    lines fail with certainty there; elsewhere the wind is calm).
+    """
+    comps = [
+        ("PL", "plant", 0, 0),
+        ("LN", "line", 100, 0),
+        ("PA", "pole", 200, 0),
+        ("CO", "conductor", 300, 0),
+        ("PB", "pole", 400, 0),
+    ]
+    edges = [("PL", "LN"), ("LN", "PA"), ("PA", "CO"), ("CO", "PB")]
+    attach = ["PA"] * 6 + ["PB"] * 4 if households else []
+    net, hh = make_power(comps, edges, households=attach, fuel={"PL": "N0"})
+    roads = make_roads(
+        {f"N{i}": (i * 100.0, 0.0) for i in range(5)},
+        [(f"L{i}", f"N{i}", f"N{i+1}", 100.0) for i in range(4)],
+        lights=lights,
+    )
+    assign_nearest_road_links(net.components, roads)
+    cells = [
+        WindCell(x - 50, -10, x + 49, 10, mph_by_x.get(x, 0.0))
+        for x in range(0, 500, 100)
+    ]
+    return net, roads, hh, HazardScenario(wind_mph=cells, initial_runoff_in=0.0)
+
+
+def run_chain(net, roads, hh, hazard, seed=0):
+    return run_replication(
+        net, roads, hh, hazard, FragilityConfig(), RepairModel(),
+        Strategy.DISTANCE_BASED, teams=4, seed=seed,
+    )
 
 
 class TestPoweredSet:
     def test_pristine_all_powered(self):
         net = chain_net()
-        assert powered_set(net) == {"PL", "LN", "PO"}
+        assert powered_ids(net) == {"PL", "LN", "PO"}
 
     def test_failed_line_isolates_downstream(self):
-        net = chain_net([("LN", Status.FAILED)])
-        assert powered_set(net) == {"PL"}
+        net = chain_net()
+        assert powered_ids(net, down={"LN"}) == {"PL"}
 
     def test_under_repair_blocks(self):
-        net = chain_net([("LN", Status.UNDER_REPAIR)])
-        assert powered_set(net) == {"PL"}
+        # the engine keeps a component dark from its failure until the hour
+        # its repair completes, including every hour a crew works on it
+        net, roads, hh, hazard = scripted_chain({100: 160.0})
+        res = run_chain(net, roads, hh, hazard)
+        assert res.initial_failures == ["LN"]
+        (start,) = [h for h, kind, _ in res.events if kind == "job_started"]
+        (done,) = [h for h, kind, _ in res.events if kind == "repaired"]
+        assert start == 0 and done >= 1
+        for hour, q in res.households.samples:
+            assert q == (0.0 if hour < done else 1.0)
 
     def test_repaired_conducts(self):
-        net = chain_net([("LN", Status.REPAIRED)])
-        assert powered_set(net) == {"PL", "LN", "PO"}
+        net = chain_net()
+        before = powered_ids(net, down={"LN"})
+        assert powered_ids(net, down=set()) == {"PL", "LN", "PO"} > before
 
     def test_fuel_starved_plant_powers_nothing(self):
         net = chain_net()
-        assert powered_set(net, operational_plants=set()) == set()
+        assert powered_ids(net, plants=[]) == set()
 
     def test_matches_bfs_oracle_on_random_trees(self):
         rng = np.random.default_rng(17)
@@ -147,13 +210,33 @@ class TestPoweredSet:
             ]
             net, _ = make_power(comps, edges)
             k = int(rng.integers(0, 6))
-            for cid in rng.choice(ids[1:], size=min(k, n - 1), replace=False):
-                net.components[cid].status = Status.FAILED
-            conducting = {
-                cid: comp.conducting() for cid, comp in net.components.items()
-            }
-            expected = bfs_powered(net.components, net.edges, net.plants, conducting)
-            assert powered_set(net) == expected, f"trial {trial}"
+            down = set(rng.choice(ids[1:], size=min(k, n - 1), replace=False))
+            assert powered_ids(net, down) == oracle(net, down), f"trial {trial}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_bfs_oracle_on_meshed_graphs(self, data):
+        n = data.draw(st.integers(2, 40), label="components")
+        n_plants = data.draw(st.integers(1, min(4, n)), label="plants")
+        ids = [f"G{i}" for i in range(n_plants)] + [
+            f"N{i}" for i in range(n_plants, n)
+        ]
+        comps = [
+            (cid, "plant" if i < n_plants else "conductor", i, 0)
+            for i, cid in enumerate(ids)
+        ]
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        raw = data.draw(st.lists(pairs, max_size=3 * n), label="edges")
+        edges = [(ids[a], ids[b]) for a, b in raw if a != b]
+        net, _ = make_power(comps, edges)
+        down = {
+            cid for cid in ids
+            if data.draw(st.booleans(), label=f"{cid} down")
+        }
+        live = [
+            p for p in net.plants if data.draw(st.booleans(), label=f"{p} fueled")
+        ]
+        assert powered_ids(net, down, live) == oracle(net, down, live)
 
     def test_repair_never_shrinks_powered_set(self):
         rng = np.random.default_rng(23)
@@ -165,86 +248,69 @@ class TestPoweredSet:
             ids = [c[0] for c in comps]
             edges = [(ids[int(rng.integers(0, i))], ids[i]) for i in range(1, n)]
             net, _ = make_power(comps, edges)
-            failed = rng.choice(ids[1:], size=min(4, n - 1), replace=False)
-            for cid in failed:
-                net.components[cid].status = Status.FAILED
-            before = powered_set(net)
-            net.components[failed[0]].status = Status.REPAIRED
-            after = powered_set(net)
+            down = list(rng.choice(ids[1:], size=min(4, n - 1), replace=False))
+            before = powered_ids(net, down)
+            after = powered_ids(net, down[1:])
             assert before <= after
 
 
 class TestPoweredFractions:
-    def _ten_household_net(self):
-        # plant - line - poleA (6 households); poleA - conductor - poleB (4)
-        net, _ = make_power(
-            [
-                ("PL", "plant", 0, 0),
-                ("LN", "line", 1, 0),
-                ("PA", "pole", 2, 0),
-                ("CO", "conductor", 3, 0),
-                ("PB", "pole", 4, 0),
-            ],
-            [("PL", "LN"), ("LN", "PA"), ("PA", "CO"), ("CO", "PB")],
-        )
-        households = [
-            Household(id=f"H{i}", location=(0, 0), attachment="PA") for i in range(6)
-        ] + [
-            Household(id=f"H{i+6}", location=(0, 0), attachment="PB") for i in range(4)
-        ]
-        return net, households
+    """Hour-0 service fractions as the replication engine measures them."""
+
+    LIGHTS = [
+        ("S1", "N2", "PA"),
+        ("S2", "N2", "PA"),
+        ("S3", "N2", "PA"),
+        ("S4", "N4", "PB"),
+        ("S5", "N4", "PB"),
+    ]
 
     def test_pristine_fraction_one(self):
-        net, hh = self._ten_household_net()
-        assert powered_households(net, hh) == 1.0
+        net, roads, hh, hazard = scripted_chain({})
+        res = run_chain(net, roads, hh, hazard)
+        assert res.initial_failures == []
+        assert res.households.samples == [(0, 1.0)]
 
     def test_downstream_of_failed_conductor(self):
-        net, hh = self._ten_household_net()
-        net.components["CO"].status = Status.FAILED
-        assert powered_households(net, hh) == pytest.approx(0.6)
-        assert all(h.powered for h in hh[:6])
-        assert not any(h.powered for h in hh[6:])
+        net, roads, hh, hazard = scripted_chain({300: 160.0})
+        res = run_chain(net, roads, hh, hazard)
+        assert res.initial_failures == ["CO"]
+        # 6 of 10 households hang off poleA, upstream of the conductor
+        assert res.records[0].q_households == pytest.approx(0.6)
 
     def test_fuel_starved_fraction_zero(self):
-        net, hh = self._ten_household_net()
-        powered = powered_set(net, operational_plants=set())
-        assert powered_households(net, hh, powered) == 0.0
+        # fuel enters at the far end of a fully flooded street; no failures
+        net, roads, hh, hazard = scripted_chain({})
+        net.fuel_source["PL"] = "N4"
+        hazard.initial_runoff_in = 12.0
+        res = run_chain(net, roads, hh, hazard)
+        assert res.initial_failures == []
+        assert res.records[0].q_households == 0.0
+        assert res.records[0].q_traffic_lights == 1.0  # no lights here
 
     def test_no_households_is_fully_served(self):
-        net, _ = self._ten_household_net()
-        assert powered_households(net, []) == 1.0
+        net, roads, hh, hazard = scripted_chain({300: 160.0}, households=False)
+        res = run_chain(net, roads, hh, hazard)
+        assert res.initial_failures == ["CO"]
+        assert all(q == 1.0 for _, q in res.households.samples)
 
     def test_traffic_light_fraction(self):
-        net, _ = self._ten_household_net()
-        roads = make_roads(
-            {"A": (0, 0)},
-            [("L1", "A", "A", 1)] if False else [],
-            lights=[
-                ("S1", "A", "PA"),
-                ("S2", "A", "PA"),
-                ("S3", "A", "PA"),
-                ("S4", "A", "PB"),
-                ("S5", "A", "PB"),
-            ],
-        )
-        roads.intersections = {"A": (0.0, 0.0)}
-        net.components["CO"].status = Status.FAILED
-        assert powered_traffic_lights(net, roads) == pytest.approx(0.6)
+        net, roads, hh, hazard = scripted_chain({300: 160.0}, lights=self.LIGHTS)
+        res = run_chain(net, roads, hh, hazard)
+        assert res.initial_failures == ["CO"]
+        assert res.records[0].q_traffic_lights == pytest.approx(0.6)
 
     def test_traffic_lights_all_out(self):
-        net, _ = self._ten_household_net()
-        roads = make_roads(
-            {"A": (0, 0)},
-            [],
-            lights=[("S1", "A", "PA"), ("S2", "A", "PB")],
-        )
-        net.components["LN"].status = Status.FAILED
-        assert powered_traffic_lights(net, roads) == 0.0
+        net, roads, hh, hazard = scripted_chain({100: 160.0}, lights=self.LIGHTS)
+        res = run_chain(net, roads, hh, hazard)
+        assert res.initial_failures == ["LN"]
+        assert res.records[0].q_traffic_lights == 0.0
 
     def test_no_lights_is_fully_served(self):
-        net, _ = self._ten_household_net()
-        roads = make_roads({"A": (0, 0)}, [])
-        assert powered_traffic_lights(net, roads) == 1.0
+        net, roads, hh, hazard = scripted_chain({100: 160.0})
+        res = run_chain(net, roads, hh, hazard)
+        assert res.initial_failures == ["LN"]
+        assert all(q == 1.0 for _, q in res.traffic_lights.samples)
 
 
 class TestNearestRoadLink:

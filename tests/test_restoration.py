@@ -1,10 +1,13 @@
 """Strategy orderings and the hourly crew-constrained scheduling pass."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from stormgrid.fragility import RepairModel
-from stormgrid.hazard import HazardScenario, initial_flood
+from stormgrid.engine import run_replication
+from stormgrid.fragility import FragilityConfig, RepairModel
+from stormgrid.hazard import HazardScenario, WindCell, initial_flood
 from stormgrid.network import (
     DamageLevel,
     Status,
@@ -13,10 +16,11 @@ from stormgrid.network import (
 )
 from stormgrid.restoration import (
     CrewPool,
+    Prioritizer,
     RestorationState,
     Strategy,
-    priority_order,
-    schedule_tick,
+    complete_due_jobs,
+    start_pending_jobs,
 )
 
 from .conftest import make_power, make_roads
@@ -55,48 +59,64 @@ def radial_net(n_poles=4, lights=()):
 
 
 def fail(net, *ids):
+    """Mark ids failed, as the hour-0 failure draw leaves them."""
     for cid in ids:
         net.components[cid].status = Status.FAILED
     return list(ids)
+
+
+def service_masks(prio, net, down):
+    """Household and light service masks with the ``down`` ids not conducting."""
+    idx = net.index
+    alive = np.ones(len(idx.ids), dtype=bool)
+    alive[[idx.pos[c] for c in down]] = False
+    powered = idx.powered_mask(alive)
+    return powered[prio.hh_attach], powered[prio.light_feed]
+
+
+def order_of(strategy, failed, net, roads, hh, flood=None, sc=None, rng=None):
+    prio = Prioritizer(net, roads, hh)
+    return prio.order(
+        strategy,
+        failed,
+        flood,
+        sc or HazardScenario(),
+        rng if rng is not None else np.random.default_rng(0),
+        *service_masks(prio, net, failed),
+    )
 
 
 class TestPriorityOrder:
     def test_distance_orders_nearer_pole_first(self):
         net, roads, hh = radial_net()
         failed = fail(net, "PO3", "PO0")
-        order = priority_order(
-            Strategy.DISTANCE_BASED, failed, net, roads, households=hh
-        )
+        order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh)
         assert order == ["PO0", "PO3"]
 
     def test_substation_before_distribution_all_strategies(self):
         for strategy in Strategy:
             net, roads, hh = radial_net()
             failed = fail(net, "PO1", "SUB")
-            order = priority_order(strategy, failed, net, roads, households=hh)
+            order = order_of(strategy, failed, net, roads, hh)
             assert order[0] == "SUB", strategy
 
     def test_transmission_before_distribution(self):
         net, roads, hh = radial_net()
         failed = fail(net, "PO0", "TL0")
-        order = priority_order(Strategy.DISTANCE_BASED, failed, net, roads, households=hh)
+        order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh)
         assert order == ["TL0", "PO0"]
 
     def test_traffic_light_pass_prioritizes_light_feeder(self):
         net, roads, hh = radial_net(lights=[("SG0", "N4", "PO2")])
         failed = fail(net, "CD0", "CD3")
         # CD3 is past the light's feed pole PO2; CD0 is on the light's path.
-        order = priority_order(
-            Strategy.TRAFFIC_LIGHT_BASED, failed, net, roads, households=hh
-        )
+        order = order_of(Strategy.TRAFFIC_LIGHT_BASED, failed, net, roads, hh)
         assert order == ["CD0", "CD3"]
 
     def test_traffic_light_second_pass_by_distance(self):
         net, roads, hh = radial_net(lights=[("SG0", "N3", "PO1")])
         failed = fail(net, "CD3", "CD2", "CD0")
-        order = priority_order(
-            Strategy.TRAFFIC_LIGHT_BASED, failed, net, roads, households=hh
-        )
+        order = order_of(Strategy.TRAFFIC_LIGHT_BASED, failed, net, roads, hh)
         # CD0 feeds the light; CD2 and CD3 follow in distance order.
         assert order == ["CD0", "CD2", "CD3"]
 
@@ -106,10 +126,7 @@ class TestPriorityOrder:
         rng = np.random.default_rng(0)
         orders = {
             tuple(
-                priority_order(
-                    Strategy.COMPONENT_BASED, failed, net, roads, households=hh,
-                    rng=rng,
-                )
+                order_of(Strategy.COMPONENT_BASED, failed, net, roads, hh, rng=rng)
             )
             for _ in range(6)
         }
@@ -118,12 +135,12 @@ class TestPriorityOrder:
     def test_component_based_deterministic_given_stream(self):
         net, roads, hh = radial_net(n_poles=8)
         failed = fail(net, *[f"PO{i}" for i in range(8)])
-        a = priority_order(
-            Strategy.COMPONENT_BASED, failed, net, roads, households=hh,
+        a = order_of(
+            Strategy.COMPONENT_BASED, failed, net, roads, hh,
             rng=np.random.default_rng(42),
         )
-        b = priority_order(
-            Strategy.COMPONENT_BASED, failed, net, roads, households=hh,
+        b = order_of(
+            Strategy.COMPONENT_BASED, failed, net, roads, hh,
             rng=np.random.default_rng(42),
         )
         assert a == b
@@ -148,9 +165,7 @@ class TestPriorityOrder:
         roads = road_line()
         assign_nearest_road_links(net.components, roads)
         failed = fail(net, "SUBA", "SUBB")
-        order = priority_order(
-            Strategy.DISTANCE_BASED, failed, net, roads, households=hh
-        )
+        order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh)
         assert order == ["SUBB", "SUBA"]
 
     def test_unreachable_distance_sorts_last(self):
@@ -159,9 +174,7 @@ class TestPriorityOrder:
         sc = HazardScenario(initial_runoff_in={"L3": 26.0}, runoff_default_in=0.0)
         flood = initial_flood(sc, roads.link_ids)
         # PO2 sits past the flooded link: unreachable by road, sorted last.
-        order = priority_order(
-            Strategy.DISTANCE_BASED, failed, net, roads, flood, sc, households=hh
-        )
+        order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh, flood, sc)
         assert order == ["PO0", "PO2"]
 
 
@@ -192,76 +205,67 @@ class TestCrewPool:
             CrewPool(total=0)
 
 
+
+
 def dry_flood(roads):
     sc = HazardScenario(initial_runoff_in=0.0)
     return initial_flood(sc, roads.link_ids), sc
 
 
+class Crews:
+    """The engine's hourly scheduling steps, with the pending set kept here.
+
+    Each tick completes due jobs, orders the pending components under this
+    hour's service masks, and starts what fits.
+    """
+
+    def __init__(self, net, roads, hh, failed, teams, flood, sc):
+        self.net, self.flood, self.sc = net, flood, sc
+        self.prio = Prioritizer(net, roads, hh)
+        self.pending = set(failed)
+        self.state = RestorationState(pool=CrewPool(total=teams))
+
+    def tick(self, hour, rng=None, duration_rng=None,
+             strategy=Strategy.DISTANCE_BASED):
+        rng = rng if rng is not None else np.random.default_rng(1)
+        completed = complete_due_jobs(self.state, hour)
+        down = self.pending | {j.component_id for j in self.state.active}
+        order = self.prio.order(
+            strategy, self.pending, self.flood, self.sc, rng,
+            *service_masks(self.prio, self.net, down),
+        )
+        started = start_pending_jobs(
+            self.state, order, self.net, self.flood, self.sc, RepairModel(),
+            hour, duration_rng or (lambda cid: rng),
+        )
+        self.pending -= {j.component_id for j in started}
+        return completed, started
+
+
 class TestScheduling:
-    def test_big_job_skipped_small_jobs_run(self):
-        # a complete substation wants 60 crews; a pool of 10 passes it over
-        # and repairs the accessible poles meanwhile
-        net, roads, hh = radial_net()
-        fail(net, "SUB", "PO0", "PO1")
-        net.components["SUB"].damage_level = DamageLevel.COMPLETE
-        flood, sc = dry_flood(roads)
-        state = RestorationState(pool=CrewPool(total=10))
-        completed, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=0, rng=np.random.default_rng(1),
-        )
-        started_ids = {j.component_id for j in started}
-        assert "SUB" not in started_ids
-        assert {"PO0", "PO1"} <= started_ids
-        assert net.components["SUB"].status is Status.FAILED
-
-    def test_insufficient_crews_skips_to_next(self):
-        # substation severe needs 14 crews; pool of 10 busies itself on poles
-        net, roads, hh = radial_net()
-        fail(net, "SUB", "PO0", "PO1")
-        net.components["SUB"].damage_level = DamageLevel.SEVERE
-        flood, sc = dry_flood(roads)
-        state = RestorationState(pool=CrewPool(total=10))
-        state.pool.debit(5)  # five teams already engaged elsewhere
-        _, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=0, rng=np.random.default_rng(1),
-        )
-        started_ids = {j.component_id for j in started}
-        assert "SUB" not in started_ids
-        assert {"PO0", "PO1"} <= started_ids
-
     def test_crew_starved_top_job_holds_lower_ranks(self):
         # a severe substation (14 crews) fits a 20-team pool but not the 10
         # teams free now; it outranks the poles, which wait with it
         net, roads, hh = radial_net()
-        fail(net, "SUB", "PO0", "PO1")
+        failed = fail(net, "SUB", "PO0", "PO1")
         net.components["SUB"].damage_level = DamageLevel.SEVERE
-        flood, sc = dry_flood(roads)
-        state = RestorationState(pool=CrewPool(total=20))
-        state.pool.debit(10)
-        _, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=0, rng=np.random.default_rng(1),
-        )
+        crews = Crews(net, roads, hh, failed, 20, *dry_flood(roads))
+        crews.state.pool.debit(10)
+        _, started = crews.tick(hour=0)
         assert started == []
-        assert state.pool.available == 10
-        assert all(
-            net.components[c].status is Status.FAILED for c in ("SUB", "PO0", "PO1")
-        )
+        assert crews.state.pool.available == 10
+        assert crews.pending == {"SUB", "PO0", "PO1"}
 
-        state.pool.credit(4)  # fourteen teams free: the substation starts
-        _, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=1, rng=np.random.default_rng(1),
-        )
+        crews.state.pool.credit(4)  # fourteen teams free: the substation starts
+        _, started = crews.tick(hour=1)
         assert [j.component_id for j in started] == ["SUB"]
         assert started[0].crews == 14
-        assert state.pool.available == 0
+        assert crews.state.pool.available == 0
+        assert crews.pending == {"PO0", "PO1"}
 
     def test_flooded_top_job_does_not_hold(self):
         net, roads, hh = radial_net()
-        fail(net, "SUB", "PO0", "PO1")
+        failed = fail(net, "SUB", "PO0", "PO1")
         net.components["SUB"].damage_level = DamageLevel.SEVERE
         sub_link = net.components["SUB"].nearest_road_link
         assert sub_link not in {
@@ -269,125 +273,113 @@ class TestScheduling:
         }
         sc = HazardScenario(initial_runoff_in={sub_link: 12.0}, runoff_default_in=0.0)
         flood = initial_flood(sc, roads.link_ids)
-        state = RestorationState(pool=CrewPool(total=20))
-        state.pool.debit(10)
-        _, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=0, rng=np.random.default_rng(1),
-        )
+        crews = Crews(net, roads, hh, failed, 20, flood, sc)
+        crews.state.pool.debit(10)
+        _, started = crews.tick(hour=0)
         assert {j.component_id for j in started} == {"PO0", "PO1"}
-        assert net.components["SUB"].status is Status.FAILED
+        assert crews.pending == {"SUB"}
 
     def test_all_flooded_zero_starts(self):
         net, roads, hh = radial_net()
-        fail(net, "PO0", "PO1")
+        failed = fail(net, "PO0", "PO1")
         sc = HazardScenario(initial_runoff_in=12.0)
         flood = initial_flood(sc, roads.link_ids)
-        state = RestorationState(pool=CrewPool(total=10))
-        _, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=0, rng=np.random.default_rng(1),
-        )
+        crews = Crews(net, roads, hh, failed, 10, flood, sc)
+        _, started = crews.tick(hour=0)
         assert started == []
-        assert state.pool.available == 10
+        assert crews.state.pool.available == 10
 
     def test_access_toggle_off_ignores_flood(self):
         net, roads, hh = radial_net()
-        fail(net, "PO0")
+        failed = fail(net, "PO0")
         sc = HazardScenario(initial_runoff_in=12.0, crew_access_dependence=False)
         flood = initial_flood(sc, roads.link_ids)
-        state = RestorationState(pool=CrewPool(total=10))
-        _, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=0, rng=np.random.default_rng(1),
-        )
+        crews = Crews(net, roads, hh, failed, 10, flood, sc)
+        _, started = crews.tick(hour=0)
         assert len(started) == 1
 
     def test_distribution_starts_when_transmission_inaccessible(self):
         net, roads, hh = radial_net()
-        fail(net, "TL0", "PO2")
+        failed = fail(net, "TL0", "PO2")
         # flood only the link nearest the transmission line
         line_link = net.components["TL0"].nearest_road_link
         sc = HazardScenario(
             initial_runoff_in={line_link: 12.0}, runoff_default_in=0.0
         )
         flood = initial_flood(sc, roads.link_ids)
-        state = RestorationState(pool=CrewPool(total=10))
-        _, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=0, rng=np.random.default_rng(1),
-        )
+        crews = Crews(net, roads, hh, failed, 10, flood, sc)
+        _, started = crews.tick(hour=0)
         assert {j.component_id for j in started} == {"PO2"}
 
     def test_job_completion_bookkeeping(self):
         net, roads, hh = radial_net()
-        fail(net, "PO0")
-        flood, sc = dry_flood(roads)
-        state = RestorationState(pool=CrewPool(total=10))
+        failed = fail(net, "PO0")
+        crews = Crews(net, roads, hh, failed, 10, *dry_flood(roads))
 
         class FixedRng:
             def normal(self, mean, sd):
                 return 5.0
 
-        _, started = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=5, rng=np.random.default_rng(1),
-            duration_rng=lambda cid: FixedRng(),
-        )
+        _, started = crews.tick(hour=5, duration_rng=lambda cid: FixedRng())
         job = started[0]
         assert (job.start_hour, job.duration_hours) == (5, 5)
-        assert net.components["PO0"].status is Status.UNDER_REPAIR
-        assert net.components["PO0"].repair_hours_remaining == 5.0
-        assert state.pool.available == 9
+        assert crews.state.active == [job] and job.done_at() == 10
+        assert crews.pending == set()
+        assert crews.state.pool.available == 9
 
-        completed, _ = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=9, rng=np.random.default_rng(1),
-        )
-        assert completed == []
-        assert net.components["PO0"].repair_hours_remaining == 1.0
+        completed, started = crews.tick(hour=9)
+        assert completed == [] and started == []
+        assert crews.state.active == [job]
 
-        completed, _ = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=10, rng=np.random.default_rng(1),
-        )
+        completed, _ = crews.tick(hour=10)
         assert completed == ["PO0"]
-        assert net.components["PO0"].status is Status.REPAIRED
-        assert net.components["PO0"].repair_hours_remaining == 0.0
-        assert state.pool.available == 10
+        assert crews.state.active == []
+        assert crews.state.completed == [job]
+        assert crews.state.pool.available == 10
 
     def test_crew_conservation_through_run(self):
         net, roads, hh = radial_net(n_poles=6)
-        fail(net, *[f"PO{i}" for i in range(6)], *[f"CD{i}" for i in range(6)])
-        flood, sc = dry_flood(roads)
-        state = RestorationState(pool=CrewPool(total=3))
+        failed = fail(
+            net, *[f"PO{i}" for i in range(6)], *[f"CD{i}" for i in range(6)]
+        )
+        crews = Crews(net, roads, hh, failed, 3, *dry_flood(roads))
         rng = np.random.default_rng(5)
         for hour in range(200):
-            schedule_tick(
-                state, Strategy.COMPONENT_BASED, net, roads, hh, flood, sc,
-                RepairModel(), hour=hour, rng=rng,
-            )
+            crews.tick(hour, rng=rng, strategy=Strategy.COMPONENT_BASED)
+            state = crews.state
             assert state.pool.available + state.crews_in_use() == 3
-            if all(
-                c.status in (Status.OPERATIONAL, Status.REPAIRED)
-                for c in net.components.values()
-            ):
+            if not crews.pending and not state.active:
                 break
         else:
             pytest.fail("repairs did not finish in 200 hours")
+        assert sorted(j.component_id for j in state.completed) == sorted(failed)
 
     def test_under_repair_not_restarted(self):
-        net, roads, hh = radial_net()
-        fail(net, "PO0")
-        flood, sc = dry_flood(roads)
-        state = RestorationState(pool=CrewPool(total=10))
-        rng = np.random.default_rng(3)
-        schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=0, rng=rng,
+        # 160 mph east of the substation fails every conductor (and some
+        # poles); four teams work them off over several scheduling passes
+        net, roads, hh = radial_net(n_poles=6)
+        hazard = HazardScenario(
+            wind_mph=[
+                WindCell(-10, -10, 140, 10, 0.0),
+                WindCell(140, -10, 800, 10, 160.0),
+            ],
+            initial_runoff_in=0.0,
         )
-        _, started_again = schedule_tick(
-            state, Strategy.DISTANCE_BASED, net, roads, hh, flood, sc,
-            RepairModel(), hour=1, rng=rng,
-        )
-        assert started_again == []
+        for strategy in Strategy:
+            for seed in range(4):
+                res = run_replication(
+                    net, roads, hh, hazard, FragilityConfig(), RepairModel(),
+                    strategy, teams=4, seed=seed,
+                )
+                failed = res.initial_failures
+                assert {f"CD{i}" for i in range(6)} <= set(failed)
+                by_kind = {"job_started": [], "repaired": []}
+                for hour, kind, cid in res.events:
+                    by_kind.get(kind, []).append((cid, hour))
+                starts, repairs = by_kind["job_started"], by_kind["repaired"]
+                once = Counter(failed)
+                assert Counter(c for c, _ in starts) == once, (strategy, seed)
+                assert Counter(c for c, _ in repairs) == once, (strategy, seed)
+                started_at = dict(starts)
+                assert all(hour > started_at[cid] for cid, hour in repairs)
+                assert res.records[-1].q_households == 1.0
