@@ -82,9 +82,7 @@ class RoadIndex:
         return int(np.argmin(d2))
 
 
-def component_road_node(
-    component: PowerComponent, roads: RoadNetwork, index: RoadIndex | None = None
-) -> str:
+def component_road_node(component: PowerComponent, roads: RoadNetwork) -> str:
     """Road intersection where crews reach the component.
 
     The endpoint of the component's nearest road link that lies closer to the

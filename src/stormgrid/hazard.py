@@ -52,8 +52,13 @@ class HazardScenario:
     fuel_source_coords: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.wind_mph, (int, float)) and self.wind_mph < 0:
-            raise ValueError(f"wind_mph must be >= 0, got {self.wind_mph}")
+        if isinstance(self.wind_mph, (int, float)):
+            if self.wind_mph < 0:
+                raise ValueError(f"wind_mph must be >= 0, got {self.wind_mph}")
+        else:
+            for cell in self.wind_mph:
+                if cell.mph < 0 or cell.x_min > cell.x_max or cell.y_min > cell.y_max:
+                    raise ValueError(f"bad wind cell {cell}: needs mph >= 0, min <= max")
         if self.drainage_in_per_hr <= 0:
             raise ValueError("drainage_in_per_hr must be > 0")
         if self.passable_threshold_in < 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .errors import ConfigError, UndefinedImprovementError
 
@@ -40,9 +40,6 @@ class QualitySeries:
 
     def values(self) -> np.ndarray:
         return np.array([q for _, q in self.samples])
-
-    def hours(self) -> np.ndarray:
-        return np.array([h for h, _ in self.samples])
 
     def time_averaged(self) -> float:
         return float(self.values().mean())
@@ -126,7 +123,7 @@ def normal_ci_halfwidth(values: np.ndarray, confidence: float) -> float:
     n = len(values)
     if n < 2:
         return float("inf")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = ndtri(0.5 + confidence / 2.0)
     return float(z * values.std(ddof=1) / np.sqrt(n))
 
 

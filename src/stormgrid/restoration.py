@@ -1,16 +1,23 @@
 """Crew-constrained repair scheduling under three priority strategies.
 
-All strategies repair the critical tier (substations, towers, transmission
-lines) ahead of the distribution tier (poles, conductors):
+A strategy is an ordered list of blocks. Each block takes one tier of the
+pending components and ranks it by one key, ties broken by component id; the
+priority list is the blocks one after another:
 
-* component-based: substations by unpowered-household count, transmission in
-  id order, then the distribution tier in a fresh uniform-random order each
-  hour;
+* component-based: substations by unpowered households below them (most
+  first), transmission (towers, lines) in network-file order, then
+  distribution (poles, conductors) in a fresh uniform-random order each hour;
 * distance-based: transmission by road distance to a plant, substations by
-  unpowered-household count, distribution by road distance to its substation;
-* traffic-light-based: a first pass over components feeding an unpowered
-  traffic light (same keys as distance-based, substations by unpowered-light
-  count), then everything else distance-based.
+  unpowered households, distribution by road distance to its own substation;
+* traffic-light-based: the distance-based blocks in two passes. The first
+  pass holds the components on the feed path of an unpowered traffic light,
+  with substations ranked by unpowered lights instead of households; the
+  second pass holds everything else.
+
+Component- and distance-based restoration put substations and transmission
+before distribution. Traffic-light-based restoration does so only within a
+pass: light-feeding distribution work ranks ahead of every component that
+feeds no unpowered light, substations and transmission included.
 
 Scheduling walks the priority list each hour and starts jobs in order. The
 highest-ranked accessible job that is short of free crews holds the rest of
@@ -28,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .coupling import RoadIndex, component_accessible, component_road_node
 from .fragility import RepairModel, sample_repair
@@ -85,11 +93,15 @@ class RepairJob:
 
 
 class Prioritizer:
-    """Strategy orderings over failed components, with static maps precomputed.
+    """Strategy orderings over pending components, as ranked blocks.
 
-    Road distances are measured over the currently passable subgraph (a
-    component cut off by floodwater sorts last, mirroring the access gate)
-    and cached per passable set, which recurs across hours and replications.
+    A block pairs a tier mask over the pending components with one key per
+    component. The static inputs of the keys are built once: the id rank,
+    the substation of each household and light, and the component x light
+    incidence of the lights' feed paths. Road distances are measured over
+    the currently passable subgraph (a component cut off by floodwater sorts
+    last, mirroring the access gate) and cached per passable set, which
+    recurs across hours and replications.
     """
 
     def __init__(
@@ -103,15 +115,17 @@ class Prioritizer:
         self.road_index = road_index or RoadIndex(roads)
 
         idx = self.index
-        rix = self.road_index
+        n = len(idx.ids)
         self.comp_node = np.array(
             [
-                rix.pos[component_road_node(net.components[cid], roads)]
+                self.road_index.pos[component_road_node(net.components[cid], roads)]
                 for cid in idx.ids
             ],
             dtype=np.intp,
         )
         self.plant_nodes = sorted({int(self.comp_node[i]) for i in idx.plant_idx})
+        self.id_rank = np.empty(n, dtype=np.intp)
+        self.id_rank[sorted(range(n), key=idx.ids.__getitem__)] = np.arange(n)
 
         kinds = [net.components[cid].kind for cid in idx.ids]
         self.is_sub = np.array([k is ComponentKind.SUBSTATION for k in kinds])
@@ -125,110 +139,51 @@ class Prioritizer:
         self.hh_attach = np.array(
             [idx.pos[hh.attachment] for hh in households], dtype=np.intp
         )
-        hh_sub = idx.substation_of[self.hh_attach] if len(households) else np.array([], dtype=np.intp)
-        self.hh_by_sub: dict[int, np.ndarray] = {
-            int(s): np.flatnonzero(hh_sub == s) for s in np.unique(hh_sub) if s >= 0
-        }
-
-        lights = list(roads.traffic_lights.values())
         self.light_feed = np.array(
-            [idx.pos[tl.feed_component] for tl in lights], dtype=np.intp
+            [idx.pos[tl.feed_component] for tl in roads.traffic_lights.values()],
+            dtype=np.intp,
         )
-        light_sub = (
-            idx.substation_of[self.light_feed] if lights else np.array([], dtype=np.intp)
+        # Substation of each household and light; n stands for none.
+        self.hh_sub, self.light_sub = (
+            np.where(idx.substation_of[a] >= 0, idx.substation_of[a], n)
+            for a in (self.hh_attach, self.light_feed)
         )
-        self.lights_by_sub: dict[int, np.ndarray] = {
-            int(s): np.flatnonzero(light_sub == s)
-            for s in np.unique(light_sub)
-            if s >= 0
-        }
-        # Static feed path per light (component and its upstream chain);
-        # inverted to: component -> lights whose path crosses it.
-        through: dict[int, list[int]] = {}
-        for li, feed in enumerate(self.light_feed):
-            for c in idx.path_to_root(int(feed)):
-                through.setdefault(c, []).append(li)
-        self.lights_through: dict[int, np.ndarray] = {
-            c: np.array(ls, dtype=np.intp) for c, ls in through.items()
-        }
+        # Component x light incidence: the light's static feed path (its
+        # feed component and the upstream chain) crosses the component.
+        paths = [idx.path_to_root(int(feed)) for feed in self.light_feed]
+        rows = [c for path in paths for c in path]
+        cols = [li for li, path in enumerate(paths) for _ in path]
+        self.light_paths = csr_matrix(
+            (np.ones(len(rows), dtype=np.int32), (rows, cols)),
+            shape=(n, len(paths)),
+        )
 
-        self._dist_cache: dict[bytes, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
+        self._dist_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- distance fields ----------------------------------------------------
-
-    def _distances(self, flood: FloodState | None, scenario: HazardScenario):
-        if flood is None:
-            mask = np.ones(len(self.road_index.link_ids), dtype=bool)
-        else:
-            mask = flood.passable_mask(scenario.passable_threshold_in)
+    def _distances(
+        self, flood: FloodState, scenario: HazardScenario
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per component: road distance to a plant and to its own substation."""
+        mask = flood.passable_mask(scenario.passable_threshold_in)
         key = mask.tobytes()
         cached = self._dist_cache.get(key)
         if cached is None:
-            to_plant = self.road_index.distances_from(self.plant_nodes, mask)
-            from_sub = {
-                int(s): self.road_index.distances_from(
-                    [int(self.comp_node[s])], mask
-                )
-                for s in np.flatnonzero(self.is_sub)
-            }
-            cached = (to_plant, from_sub)
+            rix = self.road_index
+            to_plant = rix.distances_from(self.plant_nodes, mask)[self.comp_node]
+            to_sub = np.full(len(self.comp_node), np.inf)
+            for s in np.flatnonzero(self.is_sub):
+                below = self.index.substation_of == s
+                from_s = rix.distances_from([int(self.comp_node[s])], mask)
+                to_sub[below] = from_s[self.comp_node[below]]
+            cached = (to_plant, to_sub)
             self._dist_cache[key] = cached
         return cached
-
-    def _dist_tc(self, c: int, to_plant: np.ndarray) -> float:
-        return float(to_plant[self.comp_node[c]])
-
-    def _dist_dc(self, c: int, from_sub: dict[int, np.ndarray]) -> float:
-        s = int(self.index.substation_of[c])
-        if s < 0 or s not in from_sub:
-            return float("inf")
-        return float(from_sub[s][self.comp_node[c]])
-
-    # -- per-tick service state ----------------------------------------------
-
-    def _unpowered_households_below(self, sub: int, hh_powered: np.ndarray) -> int:
-        members = self.hh_by_sub.get(sub)
-        if members is None or members.size == 0:
-            return 0
-        return int((~hh_powered[members]).sum())
-
-    def _unpowered_lights_below(self, sub: int, light_powered: np.ndarray) -> int:
-        members = self.lights_by_sub.get(sub)
-        if members is None or members.size == 0:
-            return 0
-        return int((~light_powered[members]).sum())
-
-    def _feeds_unpowered_light(self, c: int, light_powered: np.ndarray) -> bool:
-        lights = self.lights_through.get(c)
-        if lights is None:
-            return False
-        return bool((~light_powered[lights]).any())
-
-    # -- orderings ------------------------------------------------------------
-
-    def _distance_blocks(
-        self,
-        comp_idx: list[int],
-        to_plant: np.ndarray,
-        from_sub: dict[int, np.ndarray],
-        hh_powered: np.ndarray,
-    ) -> list[int]:
-        ids = self.index.ids
-        trans = [c for c in comp_idx if self.is_transmission[c]]
-        subs = [c for c in comp_idx if self.is_sub[c]]
-        dcs = [c for c in comp_idx if self.is_distribution[c]]
-        trans.sort(key=lambda c: (self._dist_tc(c, to_plant), ids[c]))
-        subs.sort(
-            key=lambda c: (-self._unpowered_households_below(c, hh_powered), ids[c])
-        )
-        dcs.sort(key=lambda c: (self._dist_dc(c, from_sub), ids[c]))
-        return trans + subs + dcs
 
     def order(
         self,
         strategy: Strategy,
         failed: Iterable[str],
-        flood: FloodState | None,
+        flood: FloodState,
         scenario: HazardScenario,
         rng: np.random.Generator,
         hh_powered: np.ndarray,
@@ -240,51 +195,42 @@ class Prioritizer:
         with ``hh_attach``) and ``light_powered`` over traffic lights
         (aligned with ``light_feed``).
         """
-        ids = self.index.ids
         pos = self.index.pos
-        comp_idx = sorted(pos[cid] for cid in failed)
+        comps = np.sort(np.fromiter(map(pos.__getitem__, failed), dtype=np.intp))
+        n = len(pos)
+        subs = self.is_sub[comps]
+        trans = self.is_transmission[comps]
+        dist = self.is_distribution[comps]
+        hh_out = np.bincount(self.hh_sub[~hh_powered], minlength=n + 1)[comps]
 
         if strategy is Strategy.COMPONENT_BASED:
-            subs = [c for c in comp_idx if self.is_sub[c]]
-            trans = [c for c in comp_idx if self.is_transmission[c]]
-            dcs = [c for c in comp_idx if self.is_distribution[c]]
-            subs.sort(
-                key=lambda c: (
-                    -self._unpowered_households_below(c, hh_powered), ids[c]
-                )
-            )
-            shuffled = [dcs[i] for i in rng.permutation(len(dcs))]
-            return [ids[c] for c in subs + trans + shuffled]
+            # Each distribution row's slot in this hour's shuffle.
+            n_dist = int(np.count_nonzero(dist))
+            shuffled = np.empty(len(comps), dtype=np.intp)
+            shuffled[np.flatnonzero(dist)[rng.permutation(n_dist)]] = np.arange(n_dist)
+            blocks = [(subs, -hh_out), (trans, comps), (dist, shuffled)]
+        else:
+            to_plant, to_sub = (d[comps] for d in self._distances(flood, scenario))
+            blocks = [(trans, to_plant), (subs, -hh_out), (dist, to_sub)]
+            if strategy is Strategy.TRAFFIC_LIGHT_BASED:
+                feeds = (self.light_paths @ ~light_powered)[comps] > 0
+                lights_out = np.bincount(
+                    self.light_sub[~light_powered], minlength=n + 1
+                )[comps]
+                first = [(trans, to_plant), (subs, -lights_out), (dist, to_sub)]
+                blocks = [(tier & feeds, key) for tier, key in first] + [
+                    (tier & ~feeds, key) for tier, key in blocks
+                ]
 
-        to_plant, from_sub = self._distances(flood, scenario)
-
-        if strategy is Strategy.DISTANCE_BASED:
-            ordered = self._distance_blocks(comp_idx, to_plant, from_sub, hh_powered)
-            return [ids[c] for c in ordered]
-
-        if strategy is Strategy.TRAFFIC_LIGHT_BASED:
-            first = [
-                c for c in comp_idx if self._feeds_unpowered_light(c, light_powered)
-            ]
-            rest = [
-                c
-                for c in comp_idx
-                if not self._feeds_unpowered_light(c, light_powered)
-            ]
-            f_trans = [c for c in first if self.is_transmission[c]]
-            f_subs = [c for c in first if self.is_sub[c]]
-            f_dcs = [c for c in first if self.is_distribution[c]]
-            f_trans.sort(key=lambda c: (self._dist_tc(c, to_plant), ids[c]))
-            f_subs.sort(
-                key=lambda c: (
-                    -self._unpowered_lights_below(c, light_powered), ids[c]
-                )
-            )
-            f_dcs.sort(key=lambda c: (self._dist_dc(c, from_sub), ids[c]))
-            second = self._distance_blocks(rest, to_plant, from_sub, hh_powered)
-            return [ids[c] for c in f_trans + f_subs + f_dcs + second]
-
-        raise ValueError(f"unknown strategy {strategy!r}")
+        # Pending components are never plants, so the blocks partition them.
+        block = np.empty(len(comps), dtype=np.intp)
+        key = np.empty(len(comps))
+        for b, (tier, tier_key) in enumerate(blocks):
+            block[tier] = b
+            key[tier] = tier_key[tier]
+        ranked = comps[np.lexsort((self.id_rank[comps], key, block))]
+        ids = self.index.ids
+        return [ids[c] for c in ranked.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +244,6 @@ DurationRng = Callable[[str], np.random.Generator]
 class RestorationState:
     pool: CrewPool
     active: list[RepairJob] = field(default_factory=list)
-    completed: list[RepairJob] = field(default_factory=list)
 
     def crews_in_use(self) -> int:
         return sum(job.crews for job in self.active)
@@ -311,7 +256,6 @@ def complete_due_jobs(state: RestorationState, hour: int) -> list[str]:
     for job in state.active:
         if job.done_at() <= hour:
             state.pool.credit(job.crews)
-            state.completed.append(job)
             done.append(job.component_id)
         else:
             still.append(job)

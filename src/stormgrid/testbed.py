@@ -42,8 +42,6 @@ class TestbedParams:
     spacing_m: float = 100.0
     arterial_every: int = 5
     households_per_cluster: int = 3
-    # Probability mass of light placement devoted to arterial intersections.
-    arterial_light_bias: bool = True
     # Household placement weight of arterial intersections relative to side
     # streets (commercial corridors hold fewer homes than residential blocks).
     arterial_household_weight: float = 0.55
@@ -368,16 +366,13 @@ def generate_testbed(params: TestbedParams, out_dir: str | Path) -> dict[str, Pa
 
     # -- traffic lights, preferring arterial intersections ---------------------
     n_lights = int(round(params.lights_fraction * n_nodes))
-    if params.arterial_light_bias:
-        preferred = [
-            node_pos[(r, c)]
-            for r in range(side)
-            for c in range(side)
-            if is_arterial_row(r) or is_arterial_col(c)
-        ]
-    else:
-        preferred = list(range(n_nodes))
-    other_nodes = [n for n in range(n_nodes) if n not in set(preferred)]
+    preferred = [
+        node_pos[(r, c)]
+        for r in range(side)
+        for c in range(side)
+        if is_arterial_row(r) or is_arterial_col(c)
+    ]
+    other_nodes = sorted(set(range(n_nodes)) - set(preferred))
     chosen: list[int] = []
     if n_lights <= len(preferred):
         pick = rng.choice(len(preferred), size=n_lights, replace=False)

@@ -1,13 +1,17 @@
 """Independent reference implementations kept deliberately naive.
 
 These run before and beside the package code: plain-python breadth-first
-reachability for connectivity, and high-precision curve evaluation through
-mpmath for the fragility formulas. They share no code with the package.
+reachability for connectivity, high-precision curve evaluation through
+mpmath for the fragility formulas, and restoration orderings restated with
+Python ``sorted``. They share no code with the package beyond the network
+index, the crew road node and the road distance query they take as inputs.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 import mpmath as mp
+
+from stormgrid.coupling import component_road_node
 
 mp.mp.dps = 40
 
@@ -61,3 +65,90 @@ def mp_lognormal_cdf(x, median, sigma):
     if x <= 0:
         return mp.mpf(0)
     return mp.ncdf((mp.log(x) - mp.log(median)) / mp.mpf(sigma))
+
+
+_TIER = {
+    "substation": "sub",
+    "tower": "trans",
+    "line": "trans",
+    "pole": "dist",
+    "conductor": "dist",
+}
+
+
+def reference_order(
+    strategy, pending, net, roads, households, road_index, passable, rng,
+    hh_powered, light_powered,
+):
+    """Pending ids in repair order under ``strategy`` (its string value).
+
+    Each tier is sorted by ``(key, id)``; component-based keeps transmission
+    in network order and shuffles distribution with one
+    ``rng.permutation``. ``passable`` is the boolean mask over road links
+    used for road distances.
+    """
+    idx = net.index
+    comps = net.components
+    node = {
+        cid: road_index.pos[component_road_node(comps[cid], roads)] for cid in idx.ids
+    }
+    sub_of = {
+        cid: idx.ids[s] if s >= 0 else None
+        for cid, s in zip(idx.ids, idx.substation_of)
+    }
+    lights = list(roads.traffic_lights.values())
+    hh_down = Counter(
+        sub_of[h.attachment] for h, on in zip(households, hh_powered) if not on
+    )
+    lights_down = Counter(
+        sub_of[tl.feed_component] for tl, on in zip(lights, light_powered) if not on
+    )
+    feeding = {
+        idx.ids[c]
+        for tl, on in zip(lights, light_powered)
+        if not on
+        for c in idx.path_to_root(idx.pos[tl.feed_component])
+    }
+
+    pending = set(pending)
+    in_net_order = [cid for cid in idx.ids if cid in pending]
+
+    def tier(name, members):
+        return [c for c in members if _TIER[comps[c].kind.value] == name]
+
+    def ranked(members, key):
+        return sorted(members, key=lambda c: (key(c), c))
+
+    if strategy == "component":
+        dist = tier("dist", in_net_order)
+        return (
+            ranked(tier("sub", in_net_order), lambda c: -hh_down[c])
+            + tier("trans", in_net_order)
+            + [dist[i] for i in rng.permutation(len(dist))]
+        )
+
+    to_plant = road_index.distances_from(
+        sorted({node[p] for p in net.plants}), passable
+    )
+    from_sub = {}
+
+    def to_own_sub(c):
+        s = sub_of[c]
+        if s is None:
+            return float("inf")
+        if s not in from_sub:
+            from_sub[s] = road_index.distances_from([node[s]], passable)
+        return from_sub[s][node[c]]
+
+    def blocks(members, sub_down):
+        return (
+            ranked(tier("trans", members), lambda c: to_plant[node[c]])
+            + ranked(tier("sub", members), lambda c: -sub_down[c])
+            + ranked(tier("dist", members), to_own_sub)
+        )
+
+    if strategy == "distance":
+        return blocks(in_net_order, hh_down)
+    first = [c for c in in_net_order if c in feeding]
+    rest = [c for c in in_net_order if c not in feeding]
+    return blocks(first, lights_down) + blocks(rest, hh_down)

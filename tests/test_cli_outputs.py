@@ -375,6 +375,33 @@ class TestMainEndToEnd:
         assert "needs 60 crews" in err and "6 teams" in err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize(
+        "cell",
+        [[-1e6, -1e6, 1e6, 1e6, -5.0], [10.0, -1e6, -10.0, 1e6, 65.0]],
+        ids=["negative-mph", "inverted-bounds"],
+    )
+    def test_bad_wind_cell_exits_2_before_simulating(
+        self, testbed_files, tmp_path, capsys, cell
+    ):
+        scenario = tmp_path / "bad_cell.json"
+        raw = json.loads(testbed_files["scenario"].read_text())
+        scenario.write_text(json.dumps(dict(raw, wind_mph={"cells": [cell]})))
+        rc = main([
+            "simulate",
+            "--power", str(testbed_files["power"]),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(scenario),
+            "--teams", "12",
+            "--min-reps", "2",
+            "--max-reps", "2",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad_cell.json" in err and "wind cell" in err
+        assert not (tmp_path / "res").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main([
             "simulate", "--power", "missing.txt", "--roads", "missing.txt",

@@ -48,6 +48,19 @@ class TestWind:
         with pytest.raises(ValueError):
             HazardScenario(wind_mph=-1.0)
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            WindCell(0, 0, 10, 10, -0.5),
+            WindCell(10, 0, 0, 10, 60.0),
+            WindCell(0, 10, 10, 0, 60.0),
+        ],
+        ids=["negative-mph", "inverted-x", "inverted-y"],
+    )
+    def test_bad_wind_cell_rejected(self, cell):
+        with pytest.raises(ValueError, match="wind cell"):
+            HazardScenario(wind_mph=[WindCell(0, 0, 10, 10, 60.0), cell])
+
 
 class TestDrainage:
     def test_single_step(self):

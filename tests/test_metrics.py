@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import ndtri
 
 from stormgrid.errors import UndefinedImprovementError
 from stormgrid.metrics import (
@@ -169,6 +173,23 @@ class TestStatHelpers:
 
     def test_halfwidth_zero_variance(self):
         assert normal_ci_halfwidth(np.ones(10), 0.90) == 0.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        confidence=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        values=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=30
+        ),
+    )
+    def test_halfwidth_quantile_equals_norm_ppf(self, confidence, values):
+        # the half-width takes its normal quantile from ndtri; it must equal
+        # scipy.stats.norm.ppf bit for bit so stopping decisions stay unchanged
+        p = 0.5 + confidence / 2.0
+        assert ndtri(p) == stats.norm.ppf(p)
+        values = np.array(values)
+        expected = stats.norm.ppf(p) * values.std(ddof=1) / np.sqrt(len(values))
+        # equal_nan: at p == 1 both sides are inf * 0 on constant values
+        np.testing.assert_equal(normal_ci_halfwidth(values, confidence), expected)
 
     def test_bootstrap_brackets_true_mean(self):
         rng = np.random.default_rng(9)

@@ -4,15 +4,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stormgrid.coupling import RoadIndex
 from stormgrid.engine import run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
-from stormgrid.hazard import HazardScenario, WindCell, initial_flood
+from stormgrid.hazard import FloodState, HazardScenario, WindCell, initial_flood
 from stormgrid.network import (
+    ComponentKind,
     DamageLevel,
     Status,
     TrafficLight,
     assign_nearest_road_links,
+    load_networks,
 )
 from stormgrid.restoration import (
     CrewPool,
@@ -22,8 +27,10 @@ from stormgrid.restoration import (
     complete_due_jobs,
     start_pending_jobs,
 )
+from stormgrid.testbed import TestbedParams, generate_testbed
 
 from .conftest import make_power, make_roads
+from .oracles import reference_order
 
 
 def road_line(n=6, spacing=100.0):
@@ -76,11 +83,12 @@ def service_masks(prio, net, down):
 
 def order_of(strategy, failed, net, roads, hh, flood=None, sc=None, rng=None):
     prio = Prioritizer(net, roads, hh)
+    sc = sc or HazardScenario()
     return prio.order(
         strategy,
         failed,
-        flood,
-        sc or HazardScenario(),
+        flood or initial_flood(sc, roads.link_ids),
+        sc,
         rng if rng is not None else np.random.default_rng(0),
         *service_masks(prio, net, failed),
     )
@@ -176,6 +184,58 @@ class TestPriorityOrder:
         # PO2 sits past the flooded link: unreachable by road, sorted last.
         order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh, flood, sc)
         assert order == ["PO0", "PO2"]
+
+
+@pytest.fixture(scope="module")
+def small_testbed(tmp_path_factory):
+    files = generate_testbed(
+        TestbedParams(grid_size=6, households=150, substations=2, seed=3),
+        tmp_path_factory.mktemp("tb_order"),
+    )
+    net, roads, hh = load_networks(files["power"], files["roads"], files["couplings"])
+    return net, roads, hh, Prioritizer(net, roads, hh), RoadIndex(roads)
+
+
+class TestOrderMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_sorted_reference(self, small_testbed, data):
+        net, roads, hh, prio, road_index = small_testbed
+        repairable = [
+            cid for cid, c in net.components.items()
+            if c.kind is not ComponentKind.PLANT
+        ]
+        pending = data.draw(st.sets(st.sampled_from(repairable)), label="pending")
+        hh_powered = np.array(
+            data.draw(st.lists(st.booleans(), min_size=len(hh), max_size=len(hh))),
+            dtype=bool,
+        )
+        n_lights = len(prio.light_feed)
+        light_powered = np.array(
+            data.draw(st.lists(st.booleans(), min_size=n_lights, max_size=n_lights)),
+            dtype=bool,
+        )
+        n_links = len(roads.link_ids)
+        depths = data.draw(
+            st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, 12.0]),
+                     min_size=n_links, max_size=n_links),
+            label="depths",
+        )
+        strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+        sc = HazardScenario()
+        flood = FloodState(link_ids=roads.link_ids, depth_in=np.array(depths))
+        passable = flood.depth_in <= sc.passable_threshold_in
+        got = prio.order(
+            strategy, pending, flood, sc, np.random.default_rng(seed),
+            hh_powered, light_powered,
+        )
+        want = reference_order(
+            strategy.value, pending, net, roads, hh, road_index, passable,
+            np.random.default_rng(seed), hh_powered, light_powered,
+        )
+        assert got == want
 
 
 class TestCrewPool:
@@ -332,9 +392,8 @@ class TestScheduling:
         assert crews.state.active == [job]
 
         completed, _ = crews.tick(hour=10)
-        assert completed == ["PO0"]
+        assert completed == [job.component_id] == ["PO0"]
         assert crews.state.active == []
-        assert crews.state.completed == [job]
         assert crews.state.pool.available == 10
 
     def test_crew_conservation_through_run(self):
@@ -344,15 +403,19 @@ class TestScheduling:
         )
         crews = Crews(net, roads, hh, failed, 3, *dry_flood(roads))
         rng = np.random.default_rng(5)
+        repaired = []
         for hour in range(200):
-            crews.tick(hour, rng=rng, strategy=Strategy.COMPONENT_BASED)
+            completed, _ = crews.tick(
+                hour, rng=rng, strategy=Strategy.COMPONENT_BASED
+            )
+            repaired += completed
             state = crews.state
             assert state.pool.available + state.crews_in_use() == 3
             if not crews.pending and not state.active:
                 break
         else:
             pytest.fail("repairs did not finish in 200 hours")
-        assert sorted(j.component_id for j in state.completed) == sorted(failed)
+        assert sorted(repaired) == sorted(failed)
 
     def test_under_repair_not_restarted(self):
         # 160 mph east of the substation fails every conductor (and some
