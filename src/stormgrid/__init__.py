@@ -27,13 +27,10 @@ from .fragility import (
     sample_repair,
 )
 from .hazard import (
-    FloodState,
     HazardScenario,
     WindCell,
     drain_step,
-    first_passable_hour,
     initial_flood,
-    link_passable,
     wind_at,
 )
 from .metrics import (
@@ -53,7 +50,6 @@ from .network import (
     PowerNetwork,
     RoadLink,
     RoadNetwork,
-    Status,
     TrafficLight,
     load_networks,
 )

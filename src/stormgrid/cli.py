@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import MonteCarloConfig, run_experiment
-from .errors import ConfigError, FormatError, StormGridError
+from .errors import ConfigError, FormatError, RepairModelError, StormGridError
 from .fragility import (
     FragilityConfig,
     LineFragilityParams,
@@ -92,9 +93,12 @@ def _parse_repair_overrides(raw, path) -> RepairModel:
             level = _LEVEL_TOKENS[parts[1]]
         if len(triple) != 3:
             raise FormatError(path, 0, f"repair row {key!r} needs [mean, sd, crews]")
-        rows[(kind, level)] = RepairSpec(
-            float(triple[0]), float(triple[1]), int(triple[2])
-        )
+        try:
+            rows[(kind, level)] = RepairSpec(
+                float(triple[0]), float(triple[1]), int(triple[2])
+            )
+        except (ValueError, RepairModelError) as exc:
+            raise FormatError(path, 0, f"repair row {key!r}: {exc}") from exc
     return RepairModel(rows=rows)
 
 
@@ -269,8 +273,10 @@ def parse_cli(argv: list[str]) -> RunConfig:
     if ns.command == "simulate":
         if not (0.0 < ns.confidence < 1.0):
             raise ConfigError(f"--confidence must be in (0, 1), got {ns.confidence}")
-        if ns.rel_halfwidth <= 0:
-            raise ConfigError("--rel-halfwidth must be > 0")
+        if not 0 < ns.rel_halfwidth < math.inf:
+            raise ConfigError(
+                f"--rel-halfwidth must be finite and > 0, got {ns.rel_halfwidth}"
+            )
         if ns.teams < 1:
             raise ConfigError("--teams must be >= 1")
         if ns.seed < 0:
@@ -323,8 +329,8 @@ def parse_cli(argv: list[str]) -> RunConfig:
 
 
 def _run_simulate(cfg: RunConfig) -> int:
-    net, roads, households = load_networks(cfg.power, cfg.roads, cfg.couplings)
     scenario_cfg = load_scenario(cfg.scenario)
+    net, roads, households = load_networks(cfg.power, cfg.roads, cfg.couplings)
     hazard = scenario_cfg.hazard
     if cfg.no_crew_access_dependence:
         hazard.crew_access_dependence = False

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .hazard import FloodState, HazardScenario, link_passable
+from .hazard import HazardScenario
 from .network import PowerComponent, PowerNetwork, RoadNetwork
 
 
@@ -99,12 +99,16 @@ def component_road_node(component: PowerComponent, roads: RoadNetwork) -> str:
 
 
 def component_accessible(
-    component: PowerComponent, flood: FloodState, scenario: HazardScenario
+    link: int, passable: np.ndarray, scenario: HazardScenario
 ) -> bool:
-    """Can a crew reach this component through its nearest road link now?"""
+    """Can a crew reach a component through its nearest road link now?
+
+    ``link`` is the position of the component's nearest road link and
+    ``passable`` this hour's mask over road links.
+    """
     if not scenario.crew_access_dependence:
         return True
-    return link_passable(flood, scenario, component.nearest_road_link)
+    return bool(passable[link])
 
 
 def resolve_fuel_nodes(
@@ -137,7 +141,7 @@ def fuel_route_available(
     plant: PowerComponent,
     net: PowerNetwork,
     roads: RoadNetwork,
-    flood: FloodState,
+    passable: np.ndarray,
     scenario: HazardScenario,
     index: RoadIndex | None = None,
     fuel_nodes: dict[str, str] | None = None,
@@ -145,8 +149,9 @@ def fuel_route_available(
     """Does any passable route reach the plant from its fuel source?
 
     A plant runs only while this holds (when the fuel coupling is on).
-    ``fuel_nodes`` is :func:`resolve_fuel_nodes` for the same scenario,
-    resolved here when not given.
+    ``passable`` is this hour's mask over road links. ``fuel_nodes`` is
+    :func:`resolve_fuel_nodes` for the same scenario, resolved here when not
+    given.
     """
     if not scenario.fuel_dependence:
         return True
@@ -155,6 +160,6 @@ def fuel_route_available(
         fuel_nodes = resolve_fuel_nodes(net, roads, scenario, index)
     source = index.pos[fuel_nodes[plant.id]]
     target = index.pos[component_road_node(plant, roads)]
-    labels = index.labels_for(flood.passable_mask(scenario.passable_threshold_in))
+    labels = index.labels_for(passable)
     return bool(labels[source] == labels[target])
 

@@ -7,10 +7,13 @@ strategy, until every failed component is repaired and every household has
 power again. A failure draw containing a job larger than the whole crew pool
 is rejected at hour 0, since that job could never start.
 
-The failure draw writes each component's status and damage level; from
-then on the replication owns its state: a conducting mask over components,
-the set of pending (failed, not yet started) components and the active job
-list. Nothing after hour 0 is written onto the network objects.
+After the hour-0 draw a replication works only with component positions
+and masks it owns: a conducting mask over components, a mask of pending
+(failed, not yet started) components, each failed component's repair spec,
+the active job list, and the flood depths with one passable mask per hour
+over road links. The draw itself writes only substation damage levels onto
+the shared component objects; ids reappear only in the events, the initial
+failure list and the hour-cap error.
 
 Seeding is layered so comparisons are paired: the failure draw comes from a
 substream of the replication seed that no strategy-dependent code touches,
@@ -21,6 +24,7 @@ identical per-component repair times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -29,7 +33,7 @@ import numpy as np
 from .coupling import RoadIndex, fuel_route_available, resolve_fuel_nodes
 from .errors import ConfigError, SimulationCapError
 from .fragility import FragilityConfig, RepairModel, sample_failures
-from .hazard import HazardScenario, drain_step, initial_flood
+from .hazard import HazardScenario, drain_step, initial_flood, passable_mask
 from .metrics import QualitySeries, normal_ci_halfwidth
 from .network import Household, PowerNetwork, RoadNetwork
 from .restoration import (
@@ -78,10 +82,11 @@ class SimulationContext:
     """Static per-network state shared across replications and strategies.
 
     Holds the integer indexes, the prioritizer (with its road-distance
-    caches), and the household/light attachment arrays. Nothing here changes
-    during a replication except those caches. The hour-0 failure draw is
-    still written onto the components (``status``, ``damage_level``), so
-    replications run one at a time per context.
+    caches), the household/light attachment arrays and each component's
+    nearest road link position. Nothing here changes during a replication
+    except those caches. The hour-0 failure draw still writes substation
+    damage levels onto the components, so replications run one at a time
+    per context.
     """
 
     def __init__(
@@ -98,6 +103,7 @@ class SimulationContext:
         self.prioritizer = Prioritizer(net, roads, households, self.road_index)
         self.hh_attach = self.prioritizer.hh_attach
         self.light_feed = self.prioritizer.light_feed
+        self.comp_link = self.prioritizer.comp_link
         self.plant_pos = self.index.plant_idx
         self.plant_ids = list(net.plants)
 
@@ -118,30 +124,31 @@ def run_replication(
     """One seeded end-to-end replication; deterministic given (seed, config)."""
     ctx = context or SimulationContext(net, roads, households)
     idx = ctx.index
-    net.reset_statuses()
+    ids = idx.ids
 
     failure_rng = np.random.default_rng([seed, _STREAM_FAILURES])
     schedule_rng = np.random.default_rng([seed, _STREAM_SCHEDULING])
 
-    def duration_rng(cid: str) -> np.random.Generator:
-        return np.random.default_rng([seed, _STREAM_REPAIR, idx.pos[cid]])
+    def duration_rng(c: int) -> np.random.Generator:
+        return np.random.default_rng([seed, _STREAM_REPAIR, c])
 
-    flood = initial_flood(scenario, roads.link_ids)
+    depth = initial_flood(scenario, roads.link_ids)
     fuel_nodes = resolve_fuel_nodes(net, roads, scenario, ctx.road_index)
 
     failed = sample_failures(net, scenario, fragility, failure_rng)
+    specs = {}
     for cid in failed:
         comp = net.components[cid]
-        crews = repair_model.spec_for(comp.kind, comp.damage_level).crews
-        if crews > teams:
+        spec = repair_model.spec_for(comp.kind, comp.damage_level)
+        if spec.crews > teams:
             raise ConfigError(
-                f"failed component {cid} needs {crews} crews but the pool has "
+                f"failed component {cid} needs {spec.crews} crews but the pool has "
                 f"{teams} teams, so its job could never start (seed {seed})"
             )
-    pending = set(failed)
-    alive = np.ones(len(idx.ids), dtype=bool)
-    for cid in failed:
-        alive[idx.pos[cid]] = False
+        specs[idx.pos[cid]] = spec
+    pending = np.zeros(len(ids), dtype=bool)
+    pending[list(specs)] = True
+    alive = ~pending
 
     state = RestorationState(pool=CrewPool(total=teams))
     events: list[tuple[int, str, str]] = [(0, "failed", cid) for cid in failed]
@@ -156,7 +163,7 @@ def run_replication(
     def remeasure() -> None:
         nonlocal q_hh, q_tl, hh_powered, light_powered
         live_plants = np.array(
-            [p for p in ctx.plant_pos if fuel_ok[idx.ids[p]]], dtype=np.intp
+            [p for p in ctx.plant_pos if fuel_ok[ids[p]]], dtype=np.intp
         )
         powered = idx.powered_mask(alive, live_plants)
         hh_powered = powered[ctx.hh_attach]
@@ -166,22 +173,23 @@ def run_replication(
 
     for hour in range(hard_cap + 1):
         if hour > 0:
-            flood = drain_step(flood, scenario)
+            depth = drain_step(depth, scenario)
 
         completed = complete_due_jobs(state, hour) if hour > 0 else []
-        for cid in completed:
-            alive[idx.pos[cid]] = True
-            events.append((hour, "repaired", cid))
+        for c in completed:
+            alive[c] = True
+            events.append((hour, "repaired", ids[c]))
 
-        passable = flood.passable_count(scenario.passable_threshold_in)
-        passable_changed = passable != last_passable
-        last_passable = passable
+        passable = passable_mask(depth, scenario)
+        n_passable = int(np.count_nonzero(passable))
+        passable_changed = n_passable != last_passable
+        last_passable = n_passable
 
         fuel_changed = False
         if hour == 0 or (passable_changed and scenario.fuel_dependence):
             new_fuel = {
                 pid: fuel_route_available(
-                    net.components[pid], net, roads, flood, scenario,
+                    net.components[pid], net, roads, passable, scenario,
                     ctx.road_index, fuel_nodes,
                 )
                 for pid in ctx.plant_ids
@@ -196,45 +204,47 @@ def run_replication(
         if hour == 0 or completed or fuel_changed:
             remeasure()
 
-        if pending and state.pool.available > 0 and (
+        if pending.any() and state.pool.available > 0 and (
             hour == 0 or completed or passable_changed
         ):
             order = ctx.prioritizer.order(
                 strategy,
                 pending,
-                flood,
-                scenario,
+                passable,
                 schedule_rng,
                 hh_powered=hh_powered,
                 light_powered=light_powered,
             )
             started = start_pending_jobs(
-                state, order, net, flood, scenario, repair_model, hour, duration_rng
+                state, order, specs, ctx.comp_link, passable, scenario, hour,
+                duration_rng,
             )
             for job in started:
-                pending.discard(job.component_id)
-                events.append((hour, "job_started", job.component_id))
+                pending[job.component] = False
+                events.append((hour, "job_started", ids[job.component]))
 
+        # Pending and under-repair components are exactly the dead ones.
+        n_failed = len(ids) - int(np.count_nonzero(alive))
         records.append(
             HourRecord(
                 hour=hour,
                 q_households=q_hh,
                 q_traffic_lights=q_tl,
-                failed_components=len(pending) + len(state.active),
-                passable_links=passable,
+                failed_components=n_failed,
+                passable_links=n_passable,
                 crews_available=state.pool.available,
                 crews_in_use=state.crews_in_use(),
             )
         )
 
-        if not pending and not state.active and q_hh >= 1.0:
+        if n_failed == 0 and q_hh >= 1.0:
             break
     else:
         raise SimulationCapError(
             hard_cap,
             {
-                "unrepaired": sorted(pending)
-                + sorted(j.component_id for j in state.active),
+                "unrepaired": sorted(ids[c] for c in np.flatnonzero(pending))
+                + sorted(ids[j.component] for j in state.active),
                 "q_households": q_hh,
                 "passable_links": last_passable,
                 "strategy": strategy.value,
@@ -282,8 +292,11 @@ class MonteCarloConfig:
     def __post_init__(self):
         if not (0.0 < self.confidence < 1.0):
             raise ConfigError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.relative_halfwidth <= 0:
-            raise ConfigError("relative halfwidth must be > 0")
+        if not 0 < self.relative_halfwidth < math.inf:
+            raise ConfigError(
+                f"relative halfwidth must be finite and > 0, got "
+                f"{self.relative_halfwidth}"
+            )
         if self.min_replications < 2:
             raise ConfigError("need at least 2 replications for a CI")
         if self.max_replications < self.min_replications:

@@ -31,7 +31,7 @@ class ExtentError(StormGridError):
 
 
 class UnknownLinkError(StormGridError):
-    """A road-link id is not present in the flood state."""
+    """A road-link id named in the scenario is not a link of the road network."""
 
 
 class FragilityParamError(StormGridError):

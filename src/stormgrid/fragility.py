@@ -21,13 +21,7 @@ import numpy as np
 
 from .errors import FragilityParamError, RepairModelError
 from .hazard import HazardScenario, wind_at
-from .network import (
-    ComponentKind,
-    DamageLevel,
-    PowerComponent,
-    PowerNetwork,
-    Status,
-)
+from .network import ComponentKind, DamageLevel, PowerComponent, PowerNetwork
 
 #: m/s to mph conversion used for the transmission-line ramp defaults.
 MS_TO_MPH = 2.23694
@@ -66,8 +60,15 @@ class SubstationFragilityParams:
         for level in _LEVELS_BY_SEVERITY:
             if level not in self.mu or level not in self.sigma:
                 raise FragilityParamError(f"missing parameters for level {level.value}")
-            if self.sigma[level] <= 0:
-                raise FragilityParamError(f"sigma must be > 0 for level {level.value}")
+            if not math.isfinite(self.mu[level]):
+                raise FragilityParamError(
+                    f"median must be finite for level {level.value}"
+                )
+            if not 0 < self.sigma[level] < math.inf:
+                raise FragilityParamError(
+                    f"sigma must be finite and > 0 for level {level.value}, "
+                    f"got {self.sigma[level]}"
+                )
         # Exceedance curves must not cross: complete <= severe <= moderate
         # at every wind speed in the supported range.
         for x in np.linspace(0.0, 250.0, 2501):
@@ -175,10 +176,14 @@ class RepairSpec:
     crews: int
 
     def __post_init__(self):
-        if self.mean_hr <= 0:
-            raise RepairModelError("repair mean must be > 0 hours")
-        if self.sd_hr < 0:
-            raise RepairModelError("repair sd must be >= 0")
+        if not 0 < self.mean_hr < math.inf:
+            raise RepairModelError(
+                f"repair mean must be finite and > 0 hours, got {self.mean_hr}"
+            )
+        if not 0 <= self.sd_hr < math.inf:
+            raise RepairModelError(
+                f"repair sd must be finite and >= 0, got {self.sd_hr}"
+            )
         if self.crews < 1:
             raise RepairModelError("crews required must be >= 1")
 
@@ -214,22 +219,14 @@ class RepairModel:
             ) from None
 
 
-def sample_repair(
-    component: PowerComponent,
-    model: RepairModel,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Draw (duration hours, crews required) for a failed component.
+def sample_repair(spec: RepairSpec, rng: np.random.Generator) -> int:
+    """Draw the repair duration in hours for a failed component's spec.
 
     Durations are normal draws truncated below at one hour and rounded up to
     whole hours, because the simulation clock is hourly.
     """
-    if component.status is not Status.FAILED:
-        raise ValueError(f"component {component.id} is not failed")
-    spec = model.spec_for(component.kind, component.damage_level)
     raw = rng.normal(spec.mean_hr, spec.sd_hr)
-    duration = max(1, math.ceil(raw))
-    return duration, spec.crews
+    return max(1, math.ceil(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +265,12 @@ def sample_failures(
     One r is consumed per component (plants included) so the draw for a given
     component is identical across wind intensities under the same stream.
 
+    Every substation's ``damage_level`` is set by each draw (``None`` when
+    it survives); no other component is written.
+
     Returns the failed component ids in network order.
     """
     comps = list(net.components.values())
-    for comp in comps:
-        if comp.status is not Status.OPERATIONAL:
-            raise ValueError(
-                f"component {comp.id} is {comp.status.value}; failure sampling "
-                "requires a pristine network"
-            )
     draws = rng.random(len(comps))
     failed: list[str] = []
     for comp, r in zip(comps, draws):
@@ -289,13 +283,9 @@ def sample_failures(
             for lv in _LEVELS_BY_SEVERITY:
                 if probs[lv] > r:
                     level = lv
-            if level is None:
-                continue
-            comp.status = Status.FAILED
             comp.damage_level = level
-            failed.append(comp.id)
-        else:
-            if failure_probability(comp, x, config) > r:
-                comp.status = Status.FAILED
+            if level is not None:
                 failed.append(comp.id)
+        elif failure_probability(comp, x, config) > r:
+            failed.append(comp.id)
     return failed

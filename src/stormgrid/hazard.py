@@ -7,6 +7,7 @@ until road links drop back below the passability threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,16 +54,36 @@ class HazardScenario:
 
     def __post_init__(self):
         if isinstance(self.wind_mph, (int, float)):
-            if self.wind_mph < 0:
-                raise ValueError(f"wind_mph must be >= 0, got {self.wind_mph}")
+            _check_range("wind_mph", self.wind_mph)
         else:
             for cell in self.wind_mph:
-                if cell.mph < 0 or cell.x_min > cell.x_max or cell.y_min > cell.y_max:
-                    raise ValueError(f"bad wind cell {cell}: needs mph >= 0, min <= max")
-        if self.drainage_in_per_hr <= 0:
-            raise ValueError("drainage_in_per_hr must be > 0")
-        if self.passable_threshold_in < 0:
-            raise ValueError("passable_threshold_in must be >= 0")
+                if not (
+                    0 <= cell.mph < math.inf
+                    and cell.x_min <= cell.x_max
+                    and cell.y_min <= cell.y_max
+                ):
+                    raise ValueError(
+                        f"bad wind cell {cell}: needs finite mph >= 0, min <= max"
+                    )
+        _check_range("drainage_in_per_hr", self.drainage_in_per_hr, positive=True)
+        _check_range("passable_threshold_in", self.passable_threshold_in)
+        runoff = self.initial_runoff_in
+        if isinstance(runoff, dict):
+            for lid, depth in runoff.items():
+                _check_range(f"runoff for link {lid}", depth)
+            _check_range("default runoff", self.runoff_default_in)
+        else:
+            _check_range("runoff", runoff)
+        for plant, xy in self.fuel_source_coords.items():
+            if not all(map(math.isfinite, xy)):
+                raise ValueError(f"fuel source of {plant} must be finite, got {xy}")
+
+
+def _check_range(name: str, value: float, positive: bool = False) -> None:
+    """Raise unless ``value`` is finite and >= 0 (> 0 when ``positive``)."""
+    if not ((0 < value) if positive else (0 <= value)) or not value < math.inf:
+        bound = ">" if positive else ">="
+        raise ValueError(f"{name} must be finite and {bound} 0, got {value}")
 
 
 def wind_at(scenario: HazardScenario, location: tuple[float, float]) -> float:
@@ -81,77 +102,28 @@ def wind_at(scenario: HazardScenario, location: tuple[float, float]) -> float:
     raise ExtentError(f"location ({x}, {y}) outside all wind cells")
 
 
-@dataclass
-class FloodState:
-    """Current flood depth (inches) per road link, plus the hour clock.
-
-    Depths are stored as a dense array aligned with ``link_ids``; they never
-    exceed the initial runoff and never go below zero.
-    """
-
-    link_ids: list[str]
-    depth_in: np.ndarray
-    clock: int = 0
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {lid: i for i, lid in enumerate(self.link_ids)}
-
-    def depth_of(self, link_id: str) -> float:
-        try:
-            return float(self.depth_in[self._index[link_id]])
-        except KeyError:
-            raise UnknownLinkError(f"unknown road link {link_id!r}") from None
-
-    def passable_mask(self, threshold_in: float) -> np.ndarray:
-        """Boolean array over ``link_ids``: depth at or below the threshold."""
-        return self.depth_in <= threshold_in
-
-    def passable_count(self, threshold_in: float) -> int:
-        return int(self.passable_mask(threshold_in).sum())
-
-
-def initial_flood(scenario: HazardScenario, link_ids: list[str]) -> FloodState:
-    """Build the hour-0 flood state for a set of road links."""
+def initial_flood(scenario: HazardScenario, link_ids: list[str]) -> np.ndarray:
+    """Hour-0 flood depth (inches) per road link, aligned with ``link_ids``."""
     runoff = scenario.initial_runoff_in
     if isinstance(runoff, (int, float)):
-        depths = np.full(len(link_ids), float(runoff))
-    else:
-        unknown = set(runoff) - set(link_ids)
-        if unknown:
-            raise UnknownLinkError(
-                f"runoff map names unknown road link(s): {sorted(unknown)[:5]}"
-            )
-        default = float(scenario.runoff_default_in)
-        depths = np.array([float(runoff.get(lid, default)) for lid in link_ids])
-    if (depths < 0).any():
-        raise ValueError("runoff depths must be >= 0")
-    return FloodState(link_ids=link_ids, depth_in=depths, clock=0)
+        return np.full(len(link_ids), float(runoff))
+    unknown = set(runoff) - set(link_ids)
+    if unknown:
+        raise UnknownLinkError(
+            f"runoff map names unknown road link(s): {sorted(unknown)[:5]}"
+        )
+    default = float(scenario.runoff_default_in)
+    return np.array([float(runoff.get(lid, default)) for lid in link_ids])
 
 
-def drain_step(flood: FloodState, scenario: HazardScenario) -> FloodState:
-    """Advance the flood one hour: every depth drops by the drainage rate."""
-    depths = np.maximum(flood.depth_in - scenario.drainage_in_per_hr, 0.0)
-    return FloodState(
-        link_ids=flood.link_ids,
-        depth_in=depths,
-        clock=flood.clock + 1,
-        _index=flood._index,
-    )
+def drain_step(depth_in: np.ndarray, scenario: HazardScenario) -> np.ndarray:
+    """Depths one hour later: every depth drops by the drainage rate, floored at 0."""
+    return np.maximum(depth_in - scenario.drainage_in_per_hr, 0.0)
 
 
-def link_passable(flood: FloodState, scenario: HazardScenario, link_id: str) -> bool:
-    """True when the link's current depth is at or below the threshold.
+def passable_mask(depth_in: np.ndarray, scenario: HazardScenario) -> np.ndarray:
+    """Boolean mask over road links: depth at or below the threshold.
 
     The boundary is inclusive: a link at exactly the threshold is usable.
     """
-    return flood.depth_of(link_id) <= scenario.passable_threshold_in
-
-
-def first_passable_hour(depth_in: float, scenario: HazardScenario) -> int:
-    """Hour at which a link with the given initial depth becomes passable."""
-    excess = depth_in - scenario.passable_threshold_in
-    if excess <= 0:
-        return 0
-    return int(np.ceil(excess / scenario.drainage_in_per_hr))
+    return depth_in <= scenario.passable_threshold_in

@@ -38,13 +38,6 @@ class ComponentKind(enum.Enum):
     CONDUCTOR = "conductor"
 
 
-class Status(enum.Enum):
-    """Outcome of the hour-0 failure draw; repairs are tracked by the engine."""
-
-    OPERATIONAL = "operational"
-    FAILED = "failed"
-
-
 class DamageLevel(enum.Enum):
     MODERATE = "moderate"
     SEVERE = "severe"
@@ -56,7 +49,7 @@ class PowerComponent:
     id: str
     kind: ComponentKind
     location: tuple[float, float]
-    status: Status = Status.OPERATIONAL
+    # Substation damage from the latest failure draw; None when undamaged.
     damage_level: DamageLevel | None = None
     nearest_road_link: str | None = None
 
@@ -121,9 +114,8 @@ class PowerNetwork:
         return self._index
 
     def reset_statuses(self) -> None:
-        """Clear the previous failure draw from every component."""
+        """Clear the damage levels of the previous failure draw."""
         for comp in self.components.values():
-            comp.status = Status.OPERATIONAL
             comp.damage_level = None
 
 

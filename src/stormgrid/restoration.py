@@ -26,20 +26,25 @@ going to lower-ranked work. A component whose road link is still flooded is
 skipped rather than held, so lower tiers start ahead of flood-blocked
 critical work. No job can demand more crews than the whole pool: the engine
 rejects such a failure draw at hour 0. Jobs are non-preemptive.
+
+Both steps work on component positions in the power network index: the
+priority list is an array of positions, crew access reads this hour's
+passable mask at each component's nearest road link, and a job's crews and
+duration come from its component's repair spec, resolved at hour 0.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .coupling import RoadIndex, component_accessible, component_road_node
-from .fragility import RepairModel, sample_repair
-from .hazard import FloodState, HazardScenario
+from .fragility import RepairSpec, sample_repair
+from .hazard import HazardScenario
 from .network import ComponentKind, Household, PowerNetwork, RoadNetwork
 
 
@@ -83,7 +88,7 @@ class CrewPool:
 
 @dataclass
 class RepairJob:
-    component_id: str
+    component: int  # position in the power network index
     start_hour: int
     duration_hours: int
     crews: int
@@ -98,7 +103,9 @@ class Prioritizer:
     A block pairs a tier mask over the pending components with one key per
     component. The static inputs of the keys are built once: the id rank,
     the substation of each household and light, and the component x light
-    incidence of the lights' feed paths. Road distances are measured over
+    incidence of the lights' feed paths. Next to each component's crew road
+    node (``comp_node``) sits the position of its nearest road link
+    (``comp_link``), which gates crew access. Road distances are measured over
     the currently passable subgraph (a component cut off by floodwater sorts
     last, mirroring the access gate) and cached per passable set, which
     recurs across hours and replications.
@@ -121,6 +128,11 @@ class Prioritizer:
                 self.road_index.pos[component_road_node(net.components[cid], roads)]
                 for cid in idx.ids
             ],
+            dtype=np.intp,
+        )
+        link_pos = {lid: i for i, lid in enumerate(roads.link_ids)}
+        self.comp_link = np.array(
+            [link_pos[net.components[cid].nearest_road_link] for cid in idx.ids],
             dtype=np.intp,
         )
         self.plant_nodes = sorted({int(self.comp_node[i]) for i in idx.plant_idx})
@@ -160,20 +172,17 @@ class Prioritizer:
 
         self._dist_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _distances(
-        self, flood: FloodState, scenario: HazardScenario
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _distances(self, passable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per component: road distance to a plant and to its own substation."""
-        mask = flood.passable_mask(scenario.passable_threshold_in)
-        key = mask.tobytes()
+        key = passable.tobytes()
         cached = self._dist_cache.get(key)
         if cached is None:
             rix = self.road_index
-            to_plant = rix.distances_from(self.plant_nodes, mask)[self.comp_node]
+            to_plant = rix.distances_from(self.plant_nodes, passable)[self.comp_node]
             to_sub = np.full(len(self.comp_node), np.inf)
             for s in np.flatnonzero(self.is_sub):
                 below = self.index.substation_of == s
-                from_s = rix.distances_from([int(self.comp_node[s])], mask)
+                from_s = rix.distances_from([int(self.comp_node[s])], passable)
                 to_sub[below] = from_s[self.comp_node[below]]
             cached = (to_plant, to_sub)
             self._dist_cache[key] = cached
@@ -182,22 +191,21 @@ class Prioritizer:
     def order(
         self,
         strategy: Strategy,
-        failed: Iterable[str],
-        flood: FloodState,
-        scenario: HazardScenario,
+        pending: np.ndarray,
+        passable: np.ndarray,
         rng: np.random.Generator,
         hh_powered: np.ndarray,
         light_powered: np.ndarray,
-    ) -> list[str]:
-        """Pending component ids in repair order.
+    ) -> np.ndarray:
+        """Positions of the pending components in repair order.
 
-        ``hh_powered`` is this hour's service mask over households (aligned
-        with ``hh_attach``) and ``light_powered`` over traffic lights
-        (aligned with ``light_feed``).
+        ``pending`` is a mask over components, ``passable`` this hour's mask
+        over road links, ``hh_powered`` this hour's service mask over
+        households (aligned with ``hh_attach``) and ``light_powered`` over
+        traffic lights (aligned with ``light_feed``).
         """
-        pos = self.index.pos
-        comps = np.sort(np.fromiter(map(pos.__getitem__, failed), dtype=np.intp))
-        n = len(pos)
+        comps = np.flatnonzero(pending)
+        n = len(pending)
         subs = self.is_sub[comps]
         trans = self.is_transmission[comps]
         dist = self.is_distribution[comps]
@@ -210,7 +218,7 @@ class Prioritizer:
             shuffled[np.flatnonzero(dist)[rng.permutation(n_dist)]] = np.arange(n_dist)
             blocks = [(subs, -hh_out), (trans, comps), (dist, shuffled)]
         else:
-            to_plant, to_sub = (d[comps] for d in self._distances(flood, scenario))
+            to_plant, to_sub = (d[comps] for d in self._distances(passable))
             blocks = [(trans, to_plant), (subs, -hh_out), (dist, to_sub)]
             if strategy is Strategy.TRAFFIC_LIGHT_BASED:
                 feeds = (self.light_paths @ ~light_powered)[comps] > 0
@@ -228,16 +236,14 @@ class Prioritizer:
         for b, (tier, tier_key) in enumerate(blocks):
             block[tier] = b
             key[tier] = tier_key[tier]
-        ranked = comps[np.lexsort((self.id_rank[comps], key, block))]
-        ids = self.index.ids
-        return [ids[c] for c in ranked.tolist()]
+        return comps[np.lexsort((self.id_rank[comps], key, block))]
 
 
 # ---------------------------------------------------------------------------
 # Scheduling
 
 
-DurationRng = Callable[[str], np.random.Generator]
+DurationRng = Callable[[int], np.random.Generator]
 
 
 @dataclass
@@ -249,14 +255,17 @@ class RestorationState:
         return sum(job.crews for job in self.active)
 
 
-def complete_due_jobs(state: RestorationState, hour: int) -> list[str]:
-    """Finish jobs whose time has elapsed; credit their crews back."""
-    done: list[str] = []
+def complete_due_jobs(state: RestorationState, hour: int) -> list[int]:
+    """Finish jobs whose time has elapsed; credit their crews back.
+
+    Returns the positions of the repaired components.
+    """
+    done: list[int] = []
     still: list[RepairJob] = []
     for job in state.active:
         if job.done_at() <= hour:
             state.pool.credit(job.crews)
-            done.append(job.component_id)
+            done.append(job.component)
         else:
             still.append(job)
     state.active = still
@@ -265,37 +274,38 @@ def complete_due_jobs(state: RestorationState, hour: int) -> list[str]:
 
 def start_pending_jobs(
     state: RestorationState,
-    order: list[str],
-    net: PowerNetwork,
-    flood: FloodState,
+    order: np.ndarray,
+    specs: dict[int, RepairSpec],
+    comp_link: np.ndarray,
+    passable: np.ndarray,
     scenario: HazardScenario,
-    repair_model: RepairModel,
     hour: int,
     duration_rng: DurationRng,
 ) -> list[RepairJob]:
     """Walk the priority list and start jobs in order while crews allow.
 
-    ``order`` holds pending components only (none already under repair).
-    The walk stops at the first accessible job whose crew demand exceeds the
-    free crews: that job holds every job ranked below it until enough crews
-    are free. A component whose road link is impassable is skipped, so
-    accessible work further down the list still starts. Every job fits the
-    whole pool; the engine rejects larger demands at hour 0.
+    ``order`` holds the positions of pending components only (none already
+    under repair), ``specs`` each failed component's repair spec by position,
+    ``comp_link`` each component's nearest road link and ``passable`` this
+    hour's mask over road links. The walk stops at the first accessible job
+    whose crew demand exceeds the free crews: that job holds every job
+    ranked below it until enough crews are free. A component whose road link
+    is impassable is skipped, so accessible work further down the list still
+    starts. Every job fits the whole pool; the engine rejects larger demands
+    at hour 0.
     """
     started: list[RepairJob] = []
     pool = state.pool
-    for cid in order:
-        comp = net.components[cid]
-        if not component_accessible(comp, flood, scenario):
+    for c in order.tolist():
+        if not component_accessible(comp_link[c], passable, scenario):
             continue
-        spec = repair_model.spec_for(comp.kind, comp.damage_level)
+        spec = specs[c]
         if spec.crews > pool.available:
             break
-        duration, _ = sample_repair(comp, repair_model, duration_rng(cid))
+        duration = sample_repair(spec, duration_rng(c))
         pool.debit(spec.crews)
         job = RepairJob(
-            component_id=cid, start_hour=hour, duration_hours=duration,
-            crews=spec.crews,
+            component=c, start_hour=hour, duration_hours=duration, crews=spec.crews
         )
         state.active.append(job)
         started.append(job)

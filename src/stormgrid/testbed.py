@@ -66,6 +66,10 @@ class TestbedParams:
             raise ConfigError("households_per_cluster must be >= 1")
         if not (0.0 <= self.express_fraction <= 1.0):
             raise ConfigError("express_fraction must be in [0, 1]")
+        for name in ("wind_mph", "runoff_in"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         n_nodes = (self.grid_size + 1) ** 2
         if self.substations > max(1, n_nodes - 2):
             raise ConfigError(

@@ -2,11 +2,14 @@
 
 These run before and beside the package code: plain-python breadth-first
 reachability for connectivity, high-precision curve evaluation through
-mpmath for the fragility formulas, and restoration orderings restated with
-Python ``sorted``. They share no code with the package beyond the network
-index, the crew road node and the road distance query they take as inputs.
+mpmath for the fragility formulas, restoration orderings restated with
+Python ``sorted``, the scheduling walk restated over ids, and the closed
+form for the hour a flooded link reopens. They share no code with the
+package beyond the network index, the crew road node and the road distance
+query they take as inputs.
 """
 
+import math
 from collections import Counter, deque
 
 import mpmath as mp
@@ -152,3 +155,32 @@ def reference_order(
     first = [c for c in in_net_order if c in feeding]
     rest = [c for c in in_net_order if c not in feeding]
     return blocks(first, lights_down) + blocks(rest, hh_down)
+
+
+def first_passable_hour(depth_in, scenario):
+    """Hour at which a link with the given initial depth becomes passable."""
+    excess = depth_in - scenario.passable_threshold_in
+    if excess <= 0:
+        return 0
+    return math.ceil(excess / scenario.drainage_in_per_hr)
+
+
+def reference_walk(order, components, depth_by_link, scenario, crews_by_id, available):
+    """Ids that one scheduling pass starts, in start order.
+
+    ``order`` is the priority list as ids and ``depth_by_link`` maps road
+    link ids to this hour's depth. Entries are taken one at a time: a job
+    whose nearest road link is flooded is skipped (when crew access depends
+    on the roads), and the first accessible job needing more crews than are
+    free holds the rest of the list.
+    """
+    started = []
+    for cid in order:
+        depth = depth_by_link[components[cid].nearest_road_link]
+        if scenario.crew_access_dependence and depth > scenario.passable_threshold_in:
+            continue
+        if crews_by_id[cid] > available:
+            break
+        available -= crews_by_id[cid]
+        started.append(cid)
+    return started

@@ -29,7 +29,7 @@ from stormgrid.fragility import (
     p_fail_substation,
     p_fail_tower,
 )
-from stormgrid.hazard import drain_step, initial_flood, link_passable
+from stormgrid.hazard import drain_step, initial_flood, passable_mask
 from stormgrid.metrics import (
     QualitySeries,
     bootstrap_mean_ci,
@@ -206,23 +206,25 @@ def test_criterion_04_drainage_reopening(default_testbed):
     index = RoadIndex(roads)
     plant = net.components[net.plants[0]]
     hour = 0
-    while not fuel_route_available(plant, net, roads, flood, scenario, index):
+    while not fuel_route_available(
+        plant, net, roads, passable_mask(flood, scenario), scenario, index
+    ):
         flood = drain_step(flood, scenario)
         hour += 1
         assert hour < 50
     assert hour == 16
     # per-link check and the 13-inch variant
-    link = roads.link_ids[0]
+    link = 0  # position of the first road link
     flood = initial_flood(scenario, roads.link_ids)
     h = 0
-    while not link_passable(flood, scenario, link):
+    while not passable_mask(flood, scenario)[link]:
         flood = drain_step(flood, scenario)
         h += 1
     assert h == 16
     thirteen = dataclasses.replace(scenario, initial_runoff_in=13.0)
     flood = initial_flood(thirteen, roads.link_ids)
     h = 0
-    while not link_passable(flood, thirteen, link):
+    while not passable_mask(flood, thirteen)[link]:
         flood = drain_step(flood, thirteen)
         h += 1
     assert h == 17

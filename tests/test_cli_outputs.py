@@ -81,6 +81,11 @@ class TestParseCli:
         with pytest.raises(ConfigError):
             parse_cli(self._simulate_args(testbed_files, ["--confidence", "1.5"]))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_rel_halfwidth_must_be_finite_positive(self, testbed_files, value):
+        with pytest.raises(ConfigError, match="rel-halfwidth"):
+            parse_cli(self._simulate_args(testbed_files, ["--rel-halfwidth", value]))
+
     def test_missing_file_reported(self, testbed_files, tmp_path):
         args = self._simulate_args(testbed_files)
         args[1] = str(tmp_path / "nope.txt")
@@ -229,6 +234,10 @@ class TestTestbed:
             TestbedParams(lights_fraction=1.5)
         with pytest.raises(ConfigError):
             TestbedParams(households=0)
+        with pytest.raises(ConfigError, match="wind_mph"):
+            TestbedParams(wind_mph=float("nan"))
+        with pytest.raises(ConfigError, match="runoff_in"):
+            TestbedParams(runoff_in=float("inf"))
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +410,64 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert "bad_cell.json" in err and "wind cell" in err
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize(
+        "override,teams,bad",
+        [
+            ({"drainage_in_per_hr": float("nan")}, 6, "drainage_in_per_hr"),
+            ({"passable_threshold_in": float("nan")}, 6, "passable_threshold_in"),
+            ({"runoff_in": float("nan")}, 6, "runoff"),
+            ({"runoff_in": {"per_link": {}, "default": float("nan")}}, 6, "runoff"),
+            ({"wind_mph": float("nan")}, 6, "wind_mph"),
+            ({"wind_mph": {"cells": [[-1e6, -1e6, 1e6, 1e6, float("nan")]]}}, 6,
+             "wind cell"),
+            ({"wind_mph": 150.0,
+              "repair_overrides": {"pole": [float("nan"), 2.5, 1]}}, 60,
+             "repair mean"),
+        ],
+        ids=["drainage", "threshold", "runoff", "default-runoff", "wind",
+             "wind-cell", "repair-mean"],
+    )
+    def test_non_finite_scenario_exits_2_before_simulating(
+        self, testbed_files, tmp_path, capsys, override, teams, bad
+    ):
+        scenario = tmp_path / "non_finite.json"
+        raw = json.loads(testbed_files["scenario"].read_text())
+        scenario.write_text(json.dumps(dict(raw, **override)))
+        rc = main([
+            "simulate",
+            "--power", str(testbed_files["power"]),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(scenario),
+            "--strategy", "distance",
+            "--teams", str(teams),
+            "--min-reps", "2",
+            "--max-reps", "2",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non_finite.json" in err and bad in err and "nan" in err
+        assert not (tmp_path / "res").exists()
+
+    def test_scenario_checked_before_networks(self, testbed_files, tmp_path, capsys):
+        power = tmp_path / "bad_power.txt"
+        power.write_text("component X reactor 0 0\n")
+        scenario = tmp_path / "bad_scenario.json"
+        scenario.write_text(json.dumps({"hail_mm": 3}))
+        rc = main([
+            "simulate",
+            "--power", str(power),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(scenario),
+            "--teams", "6",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad_scenario.json" in err and "bad_power.txt" not in err
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main([

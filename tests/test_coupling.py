@@ -1,4 +1,4 @@
-"""Crew access and fuel-route predicates against the flood state."""
+"""Crew access and fuel-route predicates against the passable road links."""
 
 from stormgrid.coupling import (
     RoadIndex,
@@ -9,7 +9,7 @@ from stormgrid.coupling import (
 )
 from stormgrid.engine import run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
-from stormgrid.hazard import HazardScenario, drain_step, initial_flood
+from stormgrid.hazard import HazardScenario, drain_step, initial_flood, passable_mask
 from stormgrid.network import assign_nearest_road_links
 from stormgrid.restoration import Strategy
 
@@ -31,6 +31,11 @@ def grid_roads(n=4, spacing=100.0):
     return make_roads(intersections, links)
 
 
+def fuel_ok(plant, net, roads, flood, sc, index=None):
+    """:func:`fuel_route_available` under the flood depths ``flood``."""
+    return fuel_route_available(plant, net, roads, passable_mask(flood, sc), sc, index)
+
+
 def plant_with_roads(fuel_node="N3_3"):
     roads = grid_roads()
     net, _ = make_power([("P", "plant", 0, 0)], [], fuel={"P": fuel_node})
@@ -41,30 +46,28 @@ def plant_with_roads(fuel_node="N3_3"):
 
 
 class TestComponentAccessible:
-    def _component(self, link="H0_0"):
-        net, roads = plant_with_roads()
-        comp = net.components["P"]
-        comp.nearest_road_link = link
-        return comp, roads
+    def _link(self):
+        roads = grid_roads()
+        return roads, roads.link_ids.index("H0_0")
 
     def test_toggle_off_always_accessible(self):
-        comp, roads = self._component()
+        roads, link = self._link()
         sc = HazardScenario(initial_runoff_in=26.0, crew_access_dependence=False)
-        flood = initial_flood(sc, roads.link_ids)
-        assert component_accessible(comp, flood, sc) is True
+        passable = passable_mask(initial_flood(sc, roads.link_ids), sc)
+        assert component_accessible(link, passable, sc) is True
 
     def test_flooded_link_blocks(self):
-        comp, roads = self._component()
+        roads, link = self._link()
         sc = HazardScenario(initial_runoff_in=5.0)
-        flood = initial_flood(sc, roads.link_ids)
-        assert component_accessible(comp, flood, sc) is False
+        passable = passable_mask(initial_flood(sc, roads.link_ids), sc)
+        assert component_accessible(link, passable, sc) is False
 
     def test_first_accessible_hour_17(self):
-        comp, roads = self._component()
+        roads, link = self._link()
         sc = HazardScenario(initial_runoff_in=13.0)
         flood = initial_flood(sc, roads.link_ids)
         hour = 0
-        while not component_accessible(comp, flood, sc):
+        while not component_accessible(link, passable_mask(flood, sc), sc):
             flood = drain_step(flood, sc)
             hour += 1
         assert hour == 17
@@ -75,19 +78,19 @@ class TestFuelRoute:
         net, roads = plant_with_roads()
         sc = HazardScenario(initial_runoff_in=0.0)
         flood = initial_flood(sc, roads.link_ids)
-        assert fuel_route_available(net.components["P"], net, roads, flood, sc)
+        assert fuel_ok(net.components["P"], net, roads, flood, sc)
 
     def test_flooded_roads_blocked(self):
         net, roads = plant_with_roads()
         sc = HazardScenario(initial_runoff_in=26.0)
         flood = initial_flood(sc, roads.link_ids)
-        assert not fuel_route_available(net.components["P"], net, roads, flood, sc)
+        assert not fuel_ok(net.components["P"], net, roads, flood, sc)
 
     def test_toggle_off_always_available(self):
         net, roads = plant_with_roads()
         sc = HazardScenario(initial_runoff_in=26.0, fuel_dependence=False)
         flood = initial_flood(sc, roads.link_ids)
-        assert fuel_route_available(net.components["P"], net, roads, flood, sc)
+        assert fuel_ok(net.components["P"], net, roads, flood, sc)
 
     def test_route_opens_at_hour_16_for_12_inch_flood(self):
         net, roads = plant_with_roads()
@@ -96,7 +99,7 @@ class TestFuelRoute:
         index = RoadIndex(roads)
         plant = net.components["P"]
         hour = 0
-        while not fuel_route_available(plant, net, roads, flood, sc, index):
+        while not fuel_ok(plant, net, roads, flood, sc, index):
             flood = drain_step(flood, sc)
             hour += 1
             assert hour < 100
@@ -110,7 +113,7 @@ class TestFuelRoute:
             runoff_default_in=0.0,
         )
         flood = initial_flood(sc, roads.link_ids)
-        assert fuel_route_available(net.components["P"], net, roads, flood, sc)
+        assert fuel_ok(net.components["P"], net, roads, flood, sc)
 
     def test_island_plant_blocked_even_dry(self):
         roads = make_roads(
@@ -123,7 +126,7 @@ class TestFuelRoute:
         assign_nearest_road_links(net.components, roads)
         sc = HazardScenario(initial_runoff_in=0.0)
         flood = initial_flood(sc, roads.link_ids)
-        assert not fuel_route_available(net.components["P"], net, roads, flood, sc)
+        assert not fuel_ok(net.components["P"], net, roads, flood, sc)
 
 
 class TestPlantOperational:
@@ -145,7 +148,7 @@ class TestPlantOperational:
         plant = net.components["P"]
         flood = initial_flood(sc, roads.link_ids)
         for hour, q in res.households.samples:
-            assert (q == 1.0) is fuel_route_available(plant, net, roads, flood, sc)
+            assert (q == 1.0) is fuel_ok(plant, net, roads, flood, sc)
             assert q in (0.0, 1.0)
             flood = drain_step(flood, sc)
 
@@ -156,7 +159,7 @@ class TestPlantOperational:
         plant = net.components["P"]
         was_ok = False
         for _ in range(30):
-            ok = fuel_route_available(plant, net, roads, flood, sc)
+            ok = fuel_ok(plant, net, roads, flood, sc)
             assert ok or not was_ok
             was_ok = ok
             flood = drain_step(flood, sc)

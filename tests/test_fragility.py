@@ -21,9 +21,9 @@ from stormgrid.fragility import (
     sample_repair,
 )
 from stormgrid.hazard import HazardScenario
-from stormgrid.network import ComponentKind, DamageLevel, Status
+from stormgrid.network import ComponentKind, DamageLevel
 
-from .conftest import make_power
+from .conftest import KIND, make_power
 
 MOD, SEV, COMP = DamageLevel.MODERATE, DamageLevel.SEVERE, DamageLevel.COMPLETE
 
@@ -118,6 +118,15 @@ class TestCurveProperties:
                 {MOD: 0.2, SEV: 0.2, COMP: 2.0},
             )
 
+    @pytest.mark.parametrize(
+        "median,sd", [(math.nan, 0.2), (math.inf, 0.2), (140.0, math.nan)]
+    )
+    def test_non_finite_substation_params_rejected(self, median, sd):
+        with pytest.raises(FragilityParamError, match="finite"):
+            SubstationFragilityParams.from_medians(
+                {MOD: median, SEV: 170.0, COMP: 200.0}, {MOD: sd, SEV: 0.2, COMP: 0.2}
+            )
+
     def test_line_params_ordering(self):
         with pytest.raises(FragilityParamError):
             LineFragilityParams(100.0, 50.0)
@@ -128,6 +137,13 @@ class _ZeroRng:
 
     def random(self, n):
         return np.zeros(n)
+
+
+class _OneRng:
+    """Stub stream returning r = 1 for every draw: nothing fails."""
+
+    def random(self, n):
+        return np.ones(n)
 
 
 class TestSampleFailures:
@@ -160,7 +176,7 @@ class TestSampleFailures:
         # Everything but the plant has positive probability at 65 mph.
         assert sorted(failed) == ["C", "D", "L", "S", "T"]
         assert net.components["S"].damage_level is DamageLevel.COMPLETE
-        assert net.components["P"].status is Status.OPERATIONAL
+        assert net.components["P"].damage_level is None
 
     def test_pole_failure_rate_matches_curve(self):
         n = 10_000
@@ -173,13 +189,14 @@ class TestSampleFailures:
         sd = math.sqrt(n * p * (1 - p))
         assert abs(len(failed) - n * p) <= 3 * sd
 
-    def test_requires_pristine_network(self):
-        net = self._net([("D", "pole", 0, 0)])
-        net.components["D"].status = Status.FAILED
-        with pytest.raises(ValueError):
-            sample_failures(
-                net, HazardScenario(), FragilityConfig(), np.random.default_rng(0)
-            )
+    def test_redraw_clears_substation_damage(self):
+        # each draw sets every substation's level, so no reset is needed
+        net = self._net([("S", "substation", 0, 0)])
+        config, sc = FragilityConfig(), HazardScenario(wind_mph=65.0)
+        assert sample_failures(net, sc, config, _ZeroRng()) == ["S"]
+        assert net.components["S"].damage_level is DamageLevel.COMPLETE
+        assert sample_failures(net, sc, config, _OneRng()) == []
+        assert net.components["S"].damage_level is None
 
     def test_same_seed_same_failures(self):
         comps = [(f"C{i}", "conductor", 0, 0) for i in range(300)]
@@ -264,61 +281,52 @@ class _FixedRng:
         return self.value
 
 
-def _failed_component(kind, damage=None):
-    net, _ = make_power([("X", kind, 0, 0)], [])
-    comp = net.components["X"]
-    comp.status = Status.FAILED
-    comp.damage_level = damage
-    return comp
+def _spec(kind, damage=None):
+    return RepairModel().spec_for(KIND[kind], damage)
 
 
 class TestSampleRepair:
     def test_severe_substation_at_mean(self):
-        comp = _failed_component("substation", SEV)
-        duration, crews = sample_repair(comp, RepairModel(), _MeanRng())
-        assert (duration, crews) == (168, 14)
+        spec = _spec("substation", SEV)
+        assert (sample_repair(spec, _MeanRng()), spec.crews) == (168, 14)
 
     def test_conductor_at_mean(self):
-        comp = _failed_component("conductor")
-        duration, crews = sample_repair(comp, RepairModel(), _MeanRng())
-        assert (duration, crews) == (4, 1)
+        spec = _spec("conductor")
+        assert (sample_repair(spec, _MeanRng()), spec.crews) == (4, 1)
 
     def test_truncation_floor(self):
-        comp = _failed_component("pole")
-        duration, _ = sample_repair(comp, RepairModel(), _FixedRng(-3.0))
-        assert duration == 1
+        assert sample_repair(_spec("pole"), _FixedRng(-3.0)) == 1
 
     def test_rounds_up_to_whole_hours(self):
-        comp = _failed_component("pole")
-        duration, _ = sample_repair(comp, RepairModel(), _FixedRng(4.2))
-        assert duration == 5
-
-    def test_requires_failed_status(self):
-        net, _ = make_power([("X", "pole", 0, 0)], [])
-        with pytest.raises(ValueError):
-            sample_repair(net.components["X"], RepairModel(), _MeanRng())
+        assert sample_repair(_spec("pole"), _FixedRng(4.2)) == 5
 
     def test_missing_row(self):
         model = RepairModel(rows={(ComponentKind.POLE, None): RepairSpec(5, 2.5, 1)})
-        comp = _failed_component("conductor")
         with pytest.raises(RepairModelError):
-            sample_repair(comp, model, _MeanRng())
+            model.spec_for(ComponentKind.CONDUCTOR, None)
 
     def test_sampled_mean_near_configured_mean(self):
         # Truncation at 1 h and ceiling bias the pole mean upward slightly;
         # it must stay within 5% plus the half-hour rounding shift.
-        comp = _failed_component("pole")
+        spec = _spec("pole")
         rng = np.random.default_rng(99)
         n = 100_000
-        draws = [sample_repair(comp, RepairModel(), rng)[0] for _ in range(n)]
+        draws = [sample_repair(spec, rng) for _ in range(n)]
         mean = np.mean(draws)
         assert mean >= 1.0
         assert abs(mean - (5.0 + 0.5)) / 5.0 < 0.05
 
     def test_all_durations_at_least_one_hour(self):
-        comp = _failed_component("conductor")
+        spec = _spec("conductor")
         rng = np.random.default_rng(3)
-        assert min(sample_repair(comp, RepairModel(), rng)[0] for _ in range(5000)) >= 1
+        assert min(sample_repair(spec, rng) for _ in range(5000)) >= 1
+
+    @pytest.mark.parametrize(
+        "mean,sd", [(math.nan, 1.0), (math.inf, 1.0), (5.0, math.nan), (5.0, math.inf)]
+    )
+    def test_non_finite_spec_rejected(self, mean, sd):
+        with pytest.raises(RepairModelError, match="nan|inf"):
+            RepairSpec(mean, sd, 1)
 
 
 class TestRepairModelTable:
@@ -335,7 +343,5 @@ class TestRepairModelTable:
         ],
     )
     def test_default_rows(self, kind, damage, mean, sd, crews):
-        from .conftest import KIND
-
         spec = RepairModel().spec_for(KIND[kind], damage)
         assert (spec.mean_hr, spec.sd_hr, spec.crews) == (mean, sd, crews)

@@ -7,20 +7,25 @@ import pytest
 
 from stormgrid.errors import ExtentError, UnknownLinkError
 from stormgrid.hazard import (
-    FloodState,
     HazardScenario,
     WindCell,
     drain_step,
-    first_passable_hour,
     initial_flood,
-    link_passable,
+    passable_mask,
     wind_at,
 )
 
+from .oracles import first_passable_hour
+
 
 def flood_of(depths):
-    ids = [f"L{i}" for i in range(len(depths))]
-    return FloodState(link_ids=ids, depth_in=np.array(depths, dtype=float))
+    return np.array(depths, dtype=float)
+
+
+def passable(depth, sc):
+    """Passability of a single-link flood as a plain bool."""
+    (ok,) = passable_mask(depth, sc)
+    return bool(ok)
 
 
 class TestWind:
@@ -67,19 +72,18 @@ class TestDrainage:
         sc = HazardScenario(initial_runoff_in=13.0)
         flood = flood_of([13.0])
         after = drain_step(flood, sc)
-        assert after.depth_in[0] == pytest.approx(12.35)
-        assert after.clock == 1
+        assert after[0] == pytest.approx(12.35)
 
     def test_floor_at_zero(self):
         sc = HazardScenario()
         after = drain_step(flood_of([0.3]), sc)
-        assert after.depth_in[0] == 0.0
+        assert after[0] == 0.0
 
     def test_first_passable_hour_13(self):
         sc = HazardScenario(initial_runoff_in=13.0)
         flood = flood_of([13.0])
         hour = 0
-        while not link_passable(flood, sc, "L0"):
+        while not passable(flood, sc):
             flood = drain_step(flood, sc)
             hour += 1
         assert hour == 17
@@ -94,14 +98,14 @@ class TestDrainage:
         sc = HazardScenario()
         rng = np.random.default_rng(5)
         flood = flood_of(rng.uniform(0, 26, size=40))
-        initial = flood.depth_in.copy()
+        initial = flood.copy()
         passable_ever = np.zeros(40, dtype=bool)
         for _ in range(60):
             nxt = drain_step(flood, sc)
-            assert (nxt.depth_in <= flood.depth_in).all()
-            assert (nxt.depth_in <= initial).all()
-            assert (nxt.depth_in >= 0).all()
-            now = nxt.passable_mask(sc.passable_threshold_in)
+            assert (nxt <= flood).all()
+            assert (nxt <= initial).all()
+            assert (nxt >= 0).all()
+            now = passable_mask(nxt, sc)
             # once passable, always passable
             assert (now | ~passable_ever).all()
             passable_ever |= now
@@ -117,7 +121,7 @@ class TestDrainage:
             expected = 0 if depth <= theta else math.ceil((depth - theta) / rate)
             flood = flood_of([depth])
             hour = 0
-            while not link_passable(flood, sc, "L0"):
+            while not passable(flood, sc):
                 flood = drain_step(flood, sc)
                 hour += 1
             assert hour == expected, (depth, rate, theta)
@@ -126,34 +130,26 @@ class TestDrainage:
 class TestPassability:
     def test_dry_link(self):
         sc = HazardScenario()
-        assert link_passable(flood_of([0.0]), sc, "L0") is True
+        assert passable(flood_of([0.0]), sc) is True
 
     def test_boundary_inclusive(self):
         sc = HazardScenario(passable_threshold_in=2.0)
-        assert link_passable(flood_of([2.0]), sc, "L0") is True
+        assert passable(flood_of([2.0]), sc) is True
 
     def test_deep_flood(self):
         sc = HazardScenario()
-        assert link_passable(flood_of([26.0]), sc, "L0") is False
-
-    def test_unknown_link(self):
-        sc = HazardScenario()
-        with pytest.raises(UnknownLinkError):
-            link_passable(flood_of([0.0]), sc, "NOPE")
+        assert passable(flood_of([26.0]), sc) is False
 
 
 class TestInitialFlood:
     def test_uniform(self):
         sc = HazardScenario(initial_runoff_in=12.0)
         flood = initial_flood(sc, ["A", "B"])
-        assert (flood.depth_in == 12.0).all()
-        assert flood.clock == 0
+        assert (flood == 12.0).all()
 
     def test_per_link_with_default(self):
         sc = HazardScenario(initial_runoff_in={"A": 13.0}, runoff_default_in=1.0)
-        flood = initial_flood(sc, ["A", "B"])
-        assert flood.depth_of("A") == 13.0
-        assert flood.depth_of("B") == 1.0
+        assert initial_flood(sc, ["A", "B"]).tolist() == [13.0, 1.0]
 
     def test_unknown_link_in_map(self):
         sc = HazardScenario(initial_runoff_in={"Z": 2.0})
@@ -161,6 +157,35 @@ class TestInitialFlood:
             initial_flood(sc, ["A"])
 
     def test_negative_depth_rejected(self):
-        sc = HazardScenario(initial_runoff_in=-2.0)
         with pytest.raises(ValueError):
-            initial_flood(sc, ["A"])
+            HazardScenario(initial_runoff_in=-2.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"wind_mph": NAN},
+            {"wind_mph": INF},
+            {"wind_mph": [WindCell(0, 0, 10, 10, NAN)]},
+            {"wind_mph": [WindCell(0, NAN, 10, 10, 60.0)]},
+            {"drainage_in_per_hr": NAN},
+            {"drainage_in_per_hr": INF},
+            {"passable_threshold_in": NAN},
+            {"initial_runoff_in": NAN},
+            {"initial_runoff_in": {"A": NAN}},
+            {"initial_runoff_in": {"A": 1.0}, "runoff_default_in": INF},
+            {"fuel_source_coords": {"P": (NAN, 0.0)}},
+        ],
+        ids=[
+            "wind-nan", "wind-inf", "cell-mph-nan", "cell-bound-nan",
+            "drainage-nan", "drainage-inf", "threshold-nan", "runoff-nan",
+            "link-runoff-nan", "default-runoff-inf", "fuel-source-nan",
+        ],
+    )
+    def test_scenario_rejects(self, kwargs):
+        with pytest.raises(ValueError, match="nan|inf"):
+            HazardScenario(**kwargs)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from stormgrid.engine import run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
-from stormgrid.network import Status, assign_nearest_road_links, load_networks
+from stormgrid.network import assign_nearest_road_links, load_networks
 from stormgrid.restoration import Strategy
 
 from .conftest import make_power, make_roads
@@ -29,7 +29,7 @@ class TestLoadNetworks:
         assert len(households) == 1
         idx = net.index
         assert idx.powered_mask(np.ones(len(idx.ids), dtype=bool))[idx.pos["D"]]
-        assert all(c.status is Status.OPERATIONAL for c in net.components.values())
+        assert all(c.damage_level is None for c in net.components.values())
         assert net.fuel_source == {"P": "A"}
 
     def test_nearest_road_link_assigned(self, toy_files):

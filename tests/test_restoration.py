@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from stormgrid.coupling import RoadIndex
 from stormgrid.engine import run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
-from stormgrid.hazard import FloodState, HazardScenario, WindCell, initial_flood
+from stormgrid.hazard import HazardScenario, WindCell, initial_flood, passable_mask
 from stormgrid.network import (
     ComponentKind,
     DamageLevel,
-    Status,
     TrafficLight,
     assign_nearest_road_links,
     load_networks,
@@ -30,7 +29,7 @@ from stormgrid.restoration import (
 from stormgrid.testbed import TestbedParams, generate_testbed
 
 from .conftest import make_power, make_roads
-from .oracles import reference_order
+from .oracles import reference_order, reference_walk
 
 
 def road_line(n=6, spacing=100.0):
@@ -65,11 +64,11 @@ def radial_net(n_poles=4, lights=()):
     return net, roads, hh
 
 
-def fail(net, *ids):
-    """Mark ids failed, as the hour-0 failure draw leaves them."""
-    for cid in ids:
-        net.components[cid].status = Status.FAILED
-    return list(ids)
+def pending_mask(net, ids):
+    """Mask over components with the ``ids`` set."""
+    mask = np.zeros(len(net.index.ids), dtype=bool)
+    mask[[net.index.pos[c] for c in ids]] = True
+    return mask
 
 
 def service_masks(prio, net, down):
@@ -82,55 +81,57 @@ def service_masks(prio, net, down):
 
 
 def order_of(strategy, failed, net, roads, hh, flood=None, sc=None, rng=None):
+    """Repair order of the ``failed`` ids, as ids."""
     prio = Prioritizer(net, roads, hh)
     sc = sc or HazardScenario()
-    return prio.order(
+    depth = initial_flood(sc, roads.link_ids) if flood is None else flood
+    order = prio.order(
         strategy,
-        failed,
-        flood or initial_flood(sc, roads.link_ids),
-        sc,
+        pending_mask(net, failed),
+        passable_mask(depth, sc),
         rng if rng is not None else np.random.default_rng(0),
         *service_masks(prio, net, failed),
     )
+    return [net.index.ids[c] for c in order]
 
 
 class TestPriorityOrder:
     def test_distance_orders_nearer_pole_first(self):
         net, roads, hh = radial_net()
-        failed = fail(net, "PO3", "PO0")
+        failed = ["PO3", "PO0"]
         order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh)
         assert order == ["PO0", "PO3"]
 
     def test_substation_before_distribution_all_strategies(self):
         for strategy in Strategy:
             net, roads, hh = radial_net()
-            failed = fail(net, "PO1", "SUB")
+            failed = ["PO1", "SUB"]
             order = order_of(strategy, failed, net, roads, hh)
             assert order[0] == "SUB", strategy
 
     def test_transmission_before_distribution(self):
         net, roads, hh = radial_net()
-        failed = fail(net, "PO0", "TL0")
+        failed = ["PO0", "TL0"]
         order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh)
         assert order == ["TL0", "PO0"]
 
     def test_traffic_light_pass_prioritizes_light_feeder(self):
         net, roads, hh = radial_net(lights=[("SG0", "N4", "PO2")])
-        failed = fail(net, "CD0", "CD3")
+        failed = ["CD0", "CD3"]
         # CD3 is past the light's feed pole PO2; CD0 is on the light's path.
         order = order_of(Strategy.TRAFFIC_LIGHT_BASED, failed, net, roads, hh)
         assert order == ["CD0", "CD3"]
 
     def test_traffic_light_second_pass_by_distance(self):
         net, roads, hh = radial_net(lights=[("SG0", "N3", "PO1")])
-        failed = fail(net, "CD3", "CD2", "CD0")
+        failed = ["CD3", "CD2", "CD0"]
         order = order_of(Strategy.TRAFFIC_LIGHT_BASED, failed, net, roads, hh)
         # CD0 feeds the light; CD2 and CD3 follow in distance order.
         assert order == ["CD0", "CD2", "CD3"]
 
     def test_component_based_shuffles_distribution_each_call(self):
         net, roads, hh = radial_net(n_poles=8)
-        failed = fail(net, *[f"PO{i}" for i in range(8)])
+        failed = [f"PO{i}" for i in range(8)]
         rng = np.random.default_rng(0)
         orders = {
             tuple(
@@ -142,7 +143,7 @@ class TestPriorityOrder:
 
     def test_component_based_deterministic_given_stream(self):
         net, roads, hh = radial_net(n_poles=8)
-        failed = fail(net, *[f"PO{i}" for i in range(8)])
+        failed = [f"PO{i}" for i in range(8)]
         a = order_of(
             Strategy.COMPONENT_BASED, failed, net, roads, hh,
             rng=np.random.default_rng(42),
@@ -172,13 +173,13 @@ class TestPriorityOrder:
         net, hh = make_power(comps, edges, households=households)
         roads = road_line()
         assign_nearest_road_links(net.components, roads)
-        failed = fail(net, "SUBA", "SUBB")
+        failed = ["SUBA", "SUBB"]
         order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh)
         assert order == ["SUBB", "SUBA"]
 
     def test_unreachable_distance_sorts_last(self):
         net, roads, hh = radial_net()
-        failed = fail(net, "PO0", "PO2")
+        failed = ["PO0", "PO2"]
         sc = HazardScenario(initial_runoff_in={"L3": 26.0}, runoff_default_in=0.0)
         flood = initial_flood(sc, roads.link_ids)
         # PO2 sits past the flooded link: unreachable by road, sorted last.
@@ -224,18 +225,71 @@ class TestOrderMatchesReference:
         strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
-        sc = HazardScenario()
-        flood = FloodState(link_ids=roads.link_ids, depth_in=np.array(depths))
-        passable = flood.depth_in <= sc.passable_threshold_in
+        passable = np.array(depths) <= HazardScenario().passable_threshold_in
         got = prio.order(
-            strategy, pending, flood, sc, np.random.default_rng(seed),
-            hh_powered, light_powered,
+            strategy, pending_mask(net, pending), passable,
+            np.random.default_rng(seed), hh_powered, light_powered,
         )
         want = reference_order(
             strategy.value, pending, net, roads, hh, road_index, passable,
             np.random.default_rng(seed), hh_powered, light_powered,
         )
-        assert got == want
+        assert [net.index.ids[c] for c in got] == want
+
+
+class TestWalkMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_starts_match_reference_walk(self, small_testbed, data):
+        net, roads, hh, prio, _ = small_testbed
+        ids = net.index.ids
+        # multi-crew jobs are few on this testbed; draw them on their own so
+        # that crew-starved holds come up often
+        kinds = {cid: c.kind for cid, c in net.components.items()}
+        one_crew = (ComponentKind.POLE, ComponentKind.CONDUCTOR)
+        small = [c for c, k in kinds.items() if k in one_crew]
+        big = [
+            c for c, k in kinds.items()
+            if k not in one_crew and k is not ComponentKind.PLANT
+        ]
+        pending = data.draw(st.sets(st.sampled_from(big)), label="big") | data.draw(
+            st.sets(st.sampled_from(small)), label="small"
+        )
+        model = RepairModel()
+        crews_by_id, specs = {}, {}
+        for cid in pending:
+            kind = kinds[cid]
+            level = None
+            if kind is ComponentKind.SUBSTATION:
+                level = data.draw(st.sampled_from(list(DamageLevel)), label=cid)
+            spec = model.spec_for(kind, level)
+            crews_by_id[cid], specs[net.index.pos[cid]] = spec.crews, spec
+        n_links = len(roads.link_ids)
+        depths = data.draw(
+            st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, 12.0]),
+                     min_size=n_links, max_size=n_links),
+            label="depths",
+        )
+        sc = HazardScenario(crew_access_dependence=data.draw(st.booleans()))
+        available = data.draw(st.integers(0, 20), label="available")
+        strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
+
+        passable = passable_mask(np.array(depths), sc)
+        order = prio.order(
+            strategy, pending_mask(net, pending), passable,
+            np.random.default_rng(0), np.zeros(len(hh), dtype=bool),
+            np.zeros(len(prio.light_feed), dtype=bool),
+        )
+        state = RestorationState(pool=CrewPool(total=60, available=available))
+        started = start_pending_jobs(
+            state, order, specs, prio.comp_link, passable, sc, 0,
+            np.random.default_rng,
+        )
+        want = reference_walk(
+            [ids[c] for c in order], net.components,
+            dict(zip(roads.link_ids, depths)), sc, crews_by_id, available,
+        )
+        assert [ids[j.component] for j in started] == want
 
 
 class TestCrewPool:
@@ -280,25 +334,35 @@ class Crews:
     """
 
     def __init__(self, net, roads, hh, failed, teams, flood, sc):
-        self.net, self.flood, self.sc = net, flood, sc
+        self.net, self.sc = net, sc
+        self.passable = passable_mask(flood, sc)
         self.prio = Prioritizer(net, roads, hh)
         self.pending = set(failed)
+        model, comps = RepairModel(), net.components
+        self.specs = {
+            net.index.pos[c]: model.spec_for(comps[c].kind, comps[c].damage_level)
+            for c in failed
+        }
         self.state = RestorationState(pool=CrewPool(total=teams))
+
+    def ids_of(self, jobs):
+        return [self.net.index.ids[j.component] for j in jobs]
 
     def tick(self, hour, rng=None, duration_rng=None,
              strategy=Strategy.DISTANCE_BASED):
         rng = rng if rng is not None else np.random.default_rng(1)
-        completed = complete_due_jobs(self.state, hour)
-        down = self.pending | {j.component_id for j in self.state.active}
+        ids = self.net.index.ids
+        completed = [ids[c] for c in complete_due_jobs(self.state, hour)]
+        down = self.pending | set(self.ids_of(self.state.active))
         order = self.prio.order(
-            strategy, self.pending, self.flood, self.sc, rng,
+            strategy, pending_mask(self.net, self.pending), self.passable, rng,
             *service_masks(self.prio, self.net, down),
         )
         started = start_pending_jobs(
-            self.state, order, self.net, self.flood, self.sc, RepairModel(),
-            hour, duration_rng or (lambda cid: rng),
+            self.state, order, self.specs, self.prio.comp_link, self.passable,
+            self.sc, hour, duration_rng or (lambda c: rng),
         )
-        self.pending -= {j.component_id for j in started}
+        self.pending -= set(self.ids_of(started))
         return completed, started
 
 
@@ -307,7 +371,7 @@ class TestScheduling:
         # a severe substation (14 crews) fits a 20-team pool but not the 10
         # teams free now; it outranks the poles, which wait with it
         net, roads, hh = radial_net()
-        failed = fail(net, "SUB", "PO0", "PO1")
+        failed = ["SUB", "PO0", "PO1"]
         net.components["SUB"].damage_level = DamageLevel.SEVERE
         crews = Crews(net, roads, hh, failed, 20, *dry_flood(roads))
         crews.state.pool.debit(10)
@@ -318,14 +382,14 @@ class TestScheduling:
 
         crews.state.pool.credit(4)  # fourteen teams free: the substation starts
         _, started = crews.tick(hour=1)
-        assert [j.component_id for j in started] == ["SUB"]
+        assert crews.ids_of(started) == ["SUB"]
         assert started[0].crews == 14
         assert crews.state.pool.available == 0
         assert crews.pending == {"PO0", "PO1"}
 
     def test_flooded_top_job_does_not_hold(self):
         net, roads, hh = radial_net()
-        failed = fail(net, "SUB", "PO0", "PO1")
+        failed = ["SUB", "PO0", "PO1"]
         net.components["SUB"].damage_level = DamageLevel.SEVERE
         sub_link = net.components["SUB"].nearest_road_link
         assert sub_link not in {
@@ -336,12 +400,12 @@ class TestScheduling:
         crews = Crews(net, roads, hh, failed, 20, flood, sc)
         crews.state.pool.debit(10)
         _, started = crews.tick(hour=0)
-        assert {j.component_id for j in started} == {"PO0", "PO1"}
+        assert set(crews.ids_of(started)) == {"PO0", "PO1"}
         assert crews.pending == {"SUB"}
 
     def test_all_flooded_zero_starts(self):
         net, roads, hh = radial_net()
-        failed = fail(net, "PO0", "PO1")
+        failed = ["PO0", "PO1"]
         sc = HazardScenario(initial_runoff_in=12.0)
         flood = initial_flood(sc, roads.link_ids)
         crews = Crews(net, roads, hh, failed, 10, flood, sc)
@@ -351,7 +415,7 @@ class TestScheduling:
 
     def test_access_toggle_off_ignores_flood(self):
         net, roads, hh = radial_net()
-        failed = fail(net, "PO0")
+        failed = ["PO0"]
         sc = HazardScenario(initial_runoff_in=12.0, crew_access_dependence=False)
         flood = initial_flood(sc, roads.link_ids)
         crews = Crews(net, roads, hh, failed, 10, flood, sc)
@@ -360,7 +424,7 @@ class TestScheduling:
 
     def test_distribution_starts_when_transmission_inaccessible(self):
         net, roads, hh = radial_net()
-        failed = fail(net, "TL0", "PO2")
+        failed = ["TL0", "PO2"]
         # flood only the link nearest the transmission line
         line_link = net.components["TL0"].nearest_road_link
         sc = HazardScenario(
@@ -369,11 +433,11 @@ class TestScheduling:
         flood = initial_flood(sc, roads.link_ids)
         crews = Crews(net, roads, hh, failed, 10, flood, sc)
         _, started = crews.tick(hour=0)
-        assert {j.component_id for j in started} == {"PO2"}
+        assert set(crews.ids_of(started)) == {"PO2"}
 
     def test_job_completion_bookkeeping(self):
         net, roads, hh = radial_net()
-        failed = fail(net, "PO0")
+        failed = ["PO0"]
         crews = Crews(net, roads, hh, failed, 10, *dry_flood(roads))
 
         class FixedRng:
@@ -392,15 +456,13 @@ class TestScheduling:
         assert crews.state.active == [job]
 
         completed, _ = crews.tick(hour=10)
-        assert completed == [job.component_id] == ["PO0"]
+        assert completed == crews.ids_of([job]) == ["PO0"]
         assert crews.state.active == []
         assert crews.state.pool.available == 10
 
     def test_crew_conservation_through_run(self):
         net, roads, hh = radial_net(n_poles=6)
-        failed = fail(
-            net, *[f"PO{i}" for i in range(6)], *[f"CD{i}" for i in range(6)]
-        )
+        failed = [f"PO{i}" for i in range(6)] + [f"CD{i}" for i in range(6)]
         crews = Crews(net, roads, hh, failed, 3, *dry_flood(roads))
         rng = np.random.default_rng(5)
         repaired = []

@@ -1,0 +1,57 @@
+"""The benchmark tracer's hooks still resolve against the package.
+
+``perfbench/spans.py`` replaces stormgrid functions where their callers look
+them up and counts calls at those boundaries. A refactor that renames,
+inlines or re-signs one of them makes its traced metrics read zero or fail;
+this runs one small replication per strategy under the tracer.
+"""
+
+from pathlib import Path
+
+import stormgrid.engine as engine
+from stormgrid.fragility import FragilityConfig, RepairModel
+from stormgrid.hazard import HazardScenario, WindCell
+from stormgrid.restoration import Strategy
+
+from .test_restoration import radial_net
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_counts_every_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    net, roads, hh = radial_net(n_poles=6)
+    # 160 mph east of the substation fails every conductor; 3 in of runoff
+    # keeps the roads shut for the first two hours
+    hazard = HazardScenario(
+        wind_mph=[WindCell(-10, -10, 140, 10, 0.0), WindCell(140, -10, 800, 10, 160.0)],
+        initial_runoff_in=3.0,
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for strategy in Strategy:
+            # positional, as the tracer reads the strategy from argument 7
+            engine.run_replication(
+                net, roads, hh, hazard, FragilityConfig(), RepairModel(),
+                strategy, 4, 0,
+            )
+    finally:
+        tracer.uninstall()
+
+    c = tracer.counts
+    assert c["engine.replications"] == 3
+    tags = {tag for name, *_, tag in tracer.spans if name == "engine.run_replication"}
+    assert tags == {s.value for s in Strategy}
+    assert c["fragility.failures_sampled"] > 0
+    assert c["fragility.sample_repair_calls"] == c["restoration.jobs_started"] > 0
+    assert 0 < c["coupling.component_accessible_true"] < c[
+        "coupling.component_accessible_calls"
+    ]
+    assert c["restoration.order_entries"] == c["restoration.entries_offered"] > 0
+    assert c["restoration.order_calls"] > 0
+    assert c["coupling.labels_for_calls"] > 0
+    assert c["network.powered_mask_calls"] > 0
+    assert not hasattr(engine.run_replication, "__wrapped__")  # uninstalled
