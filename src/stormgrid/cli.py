@@ -11,11 +11,18 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import MonteCarloConfig, run_experiment
-from .errors import ConfigError, FormatError, RepairModelError, StormGridError
+from .errors import (
+    ConfigError,
+    FormatError,
+    FragilityParamError,
+    RepairModelError,
+    StormGridError,
+)
 from .fragility import (
     FragilityConfig,
     LineFragilityParams,
@@ -91,19 +98,33 @@ def _parse_repair_overrides(raw, path) -> RepairModel:
                     path, 0, f"substation repair rows need a damage level: {key!r}"
                 )
             level = _LEVEL_TOKENS[parts[1]]
-        if len(triple) != 3:
+        if not isinstance(triple, list) or len(triple) != 3:
             raise FormatError(path, 0, f"repair row {key!r} needs [mean, sd, crews]")
         try:
             rows[(kind, level)] = RepairSpec(
                 float(triple[0]), float(triple[1]), int(triple[2])
             )
-        except (ValueError, RepairModelError) as exc:
+        except (TypeError, ValueError, RepairModelError) as exc:
             raise FormatError(path, 0, f"repair row {key!r}: {exc}") from exc
     return RepairModel(rows=rows)
 
 
+@contextmanager
+def _scenario_value(path: Path, key: str):
+    """Report a wrong-typed, wrong-shaped or invalid value of ``key`` with the file."""
+    try:
+        yield
+    except (
+        ValueError, TypeError, LookupError, AttributeError, FragilityParamError
+    ) as exc:
+        raise FormatError(path, 0, f"{key}: {exc}") from exc
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario JSON file."""
+    """Parse and validate a scenario JSON file.
+
+    Every bad value raises :class:`FormatError` naming the file.
+    """
     path = Path(path)
     try:
         with open(path) as fh:
@@ -113,64 +134,81 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise FormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
 
+    if not isinstance(raw, dict):
+        raise FormatError(path, 0, "scenario must be a JSON object")
     unknown = set(raw) - _SCENARIO_KEYS
     if unknown:
         raise FormatError(path, 0, f"unknown scenario keys: {sorted(unknown)}")
 
-    runoff = raw.get("runoff_in", 0.0)
-    if isinstance(runoff, dict):
-        per_link = {str(k): float(v) for k, v in runoff.get("per_link", {}).items()}
-        default = float(runoff.get("default", 0.0))
-        initial_runoff, runoff_default = per_link, default
-    else:
-        initial_runoff, runoff_default = float(runoff), 0.0
+    with _scenario_value(path, "runoff_in"):
+        runoff = raw.get("runoff_in", 0.0)
+        if isinstance(runoff, dict):
+            initial_runoff = {
+                str(k): float(v) for k, v in runoff.get("per_link", {}).items()
+            }
+            runoff_default = float(runoff.get("default", 0.0))
+        else:
+            initial_runoff, runoff_default = float(runoff), 0.0
 
-    fuel_sources = {
-        str(pid): (float(xy[0]), float(xy[1]))
-        for pid, xy in raw.get("fuel_sources", {}).items()
-    }
+    with _scenario_value(path, "fuel_sources"):
+        fuel_sources = {
+            str(pid): (float(x), float(y))
+            for pid, (x, y) in raw.get("fuel_sources", {}).items()
+        }
 
-    try:
+    with _scenario_value(path, "drainage_in_per_hr"):
+        drainage = float(raw.get("drainage_in_per_hr", DEFAULT_DRAINAGE_IN_PER_HR))
+    with _scenario_value(path, "passable_threshold_in"):
+        threshold = float(
+            raw.get("passable_threshold_in", DEFAULT_PASSABLE_THRESHOLD_IN)
+        )
+    flags = {}
+    for key in ("fuel_dependence", "crew_access_dependence"):
+        flags[key] = raw.get(key, True)
+        if not isinstance(flags[key], bool):
+            raise FormatError(
+                path, 0, f"{key} must be true or false, got {flags[key]!r}"
+            )
+
+    with _scenario_value(path, "wind_mph"):
+        wind = _parse_wind(raw.get("wind_mph", 0.0), path)
+    with _scenario_value(path, "hazard"):
         hazard = HazardScenario(
-            wind_mph=_parse_wind(raw.get("wind_mph", 0.0), path),
+            wind_mph=wind,
             initial_runoff_in=initial_runoff,
             runoff_default_in=runoff_default,
-            drainage_in_per_hr=float(
-                raw.get("drainage_in_per_hr", DEFAULT_DRAINAGE_IN_PER_HR)
-            ),
-            passable_threshold_in=float(
-                raw.get("passable_threshold_in", DEFAULT_PASSABLE_THRESHOLD_IN)
-            ),
-            fuel_dependence=bool(raw.get("fuel_dependence", True)),
-            crew_access_dependence=bool(raw.get("crew_access_dependence", True)),
+            drainage_in_per_hr=drainage,
+            passable_threshold_in=threshold,
             fuel_source_coords=fuel_sources,
+            **flags,
         )
-    except ValueError as exc:
-        raise FormatError(path, 0, str(exc)) from exc
 
-    if "substation_fragility" not in raw:
-        sub_params = SubstationFragilityParams.from_medians()
-    else:
-        spec = raw["substation_fragility"]
-        medians, sigmas = {}, {}
-        for lv in DamageLevel:
-            if lv.value not in spec:
-                raise FormatError(
-                    path, 0, f"substation_fragility missing level {lv.value!r}"
-                )
-            med, sd = spec[lv.value]
-            medians[lv] = float(med)
-            sigmas[lv] = float(sd)
-        sub_params = SubstationFragilityParams.from_medians(medians, sigmas)
+    with _scenario_value(path, "substation_fragility"):
+        if "substation_fragility" not in raw:
+            sub_params = SubstationFragilityParams.from_medians()
+        else:
+            spec = raw["substation_fragility"]
+            medians, sigmas = {}, {}
+            for lv in DamageLevel:
+                if lv.value not in spec:
+                    raise FormatError(
+                        path, 0, f"substation_fragility missing level {lv.value!r}"
+                    )
+                med, sd = spec[lv.value]
+                medians[lv] = float(med)
+                sigmas[lv] = float(sd)
+            sub_params = SubstationFragilityParams.from_medians(medians, sigmas)
 
     line_params = LineFragilityParams()
     if "line_fragility" in raw:
-        crit, coll = raw["line_fragility"]
-        line_params = LineFragilityParams(float(crit), float(coll))
+        with _scenario_value(path, "line_fragility"):
+            crit, coll = raw["line_fragility"]
+            line_params = LineFragilityParams(float(crit), float(coll))
 
     repair = RepairModel()
     if "repair_overrides" in raw:
-        repair = _parse_repair_overrides(raw["repair_overrides"], path)
+        with _scenario_value(path, "repair_overrides"):
+            repair = _parse_repair_overrides(raw["repair_overrides"], path)
 
     return ScenarioConfig(
         hazard=hazard,

@@ -4,7 +4,10 @@ Each replication: sample wind failures once at hour 0, then step hour by
 hour; floodwater drains, due repairs complete, grid connectivity and the two
 quality fractions are remeasured, and new repair jobs start under the chosen
 strategy, until every failed component is repaired and every household has
-power again. A failure draw containing a job larger than the whole crew pool
+power again. The replication's hourly state is one record array with a row
+per hour from hour 0, so a row's position is its hour and the
+``q_households`` and ``q_traffic_lights`` columns are the two Q(t) curves the
+metrics read. A failure draw containing a job larger than the whole crew pool
 is rejected at hour 0, since that job could never start.
 
 After the hour-0 draw a replication works only with component positions
@@ -34,7 +37,7 @@ from .coupling import RoadIndex, fuel_route_available, resolve_fuel_nodes
 from .errors import ConfigError, SimulationCapError
 from .fragility import FragilityConfig, RepairModel, sample_failures
 from .hazard import HazardScenario, drain_step, initial_flood, passable_mask
-from .metrics import QualitySeries, normal_ci_halfwidth
+from .metrics import full_restoration_hour, normal_ci_halfwidth
 from .network import Household, PowerNetwork, RoadNetwork
 from .restoration import (
     CrewPool,
@@ -53,29 +56,30 @@ _STREAM_SCHEDULING = 1
 _STREAM_REPAIR = 2
 
 
-@dataclass
-class HourRecord:
-    hour: int
-    q_households: float
-    q_traffic_lights: float
-    failed_components: int
-    passable_links: int
-    crews_available: int
-    crews_in_use: int
+# One row per simulated hour of a replication, in hour order from hour 0.
+RECORD_DTYPE = np.dtype(
+    [
+        ("hour", np.int64),
+        ("q_households", np.float64),
+        ("q_traffic_lights", np.float64),
+        ("failed_components", np.int64),
+        ("passable_links", np.int64),
+        ("crews_available", np.int64),
+        ("crews_in_use", np.int64),
+    ]
+)
 
 
 @dataclass
 class ReplicationResult:
     seed: int
     strategy: Strategy
-    households: QualitySeries
-    traffic_lights: QualitySeries
-    records: list[HourRecord]
+    records: np.recarray  # RECORD_DTYPE rows; fields read by column or by row
     events: list[tuple[int, str, str]]
     initial_failures: list[str]
 
     def horizon(self) -> int:
-        return self.records[-1].hour
+        return int(self.records.hour[-1])
 
 
 class SimulationContext:
@@ -152,7 +156,7 @@ def run_replication(
 
     state = RestorationState(pool=CrewPool(total=teams))
     events: list[tuple[int, str, str]] = [(0, "failed", cid) for cid in failed]
-    records: list[HourRecord] = []
+    rows: list[tuple] = []
 
     q_hh = q_tl = 0.0
     hh_powered = np.zeros(len(households), dtype=bool)
@@ -225,16 +229,9 @@ def run_replication(
 
         # Pending and under-repair components are exactly the dead ones.
         n_failed = len(ids) - int(np.count_nonzero(alive))
-        records.append(
-            HourRecord(
-                hour=hour,
-                q_households=q_hh,
-                q_traffic_lights=q_tl,
-                failed_components=n_failed,
-                passable_links=n_passable,
-                crews_available=state.pool.available,
-                crews_in_use=state.crews_in_use(),
-            )
+        rows.append(
+            (hour, q_hh, q_tl, n_failed, n_passable, state.pool.available,
+             state.crews_in_use())
         )
 
         if n_failed == 0 and q_hh >= 1.0:
@@ -252,29 +249,13 @@ def run_replication(
             },
         )
 
-    hh_series = _series_from_records(records, lambda r: r.q_households)
-    tl_series = _series_from_records(records, lambda r: r.q_traffic_lights)
     return ReplicationResult(
         seed=seed,
         strategy=strategy,
-        households=hh_series,
-        traffic_lights=tl_series,
-        records=records,
+        records=np.array(rows, dtype=RECORD_DTYPE).view(np.recarray),
         events=events,
         initial_failures=failed,
     )
-
-
-def _series_from_records(
-    records: list[HourRecord], getter: Callable[[HourRecord], float]
-) -> QualitySeries:
-    samples = [(r.hour, getter(r)) for r in records]
-    t1 = samples[-1][0]
-    for hour, q in samples:
-        if q >= 1.0:
-            t1 = hour
-            break
-    return QualitySeries(samples=samples, t0=samples[0][0], t1=t1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +313,7 @@ def run_monte_carlo(
     for i in range(config.max_replications):
         res = run_one(config.base_seed + i)
         results.append(res)
-        stats.append(res.households.time_averaged())
+        stats.append(float(res.records.q_households.mean()))
         if len(stats) >= config.min_replications:
             arr = np.array(stats)
             mean = float(arr.mean())
@@ -353,33 +334,6 @@ def run_monte_carlo(
     )
 
 
-def make_replication_runner(
-    ctx: SimulationContext,
-    scenario: HazardScenario,
-    fragility: FragilityConfig,
-    repair_model: RepairModel,
-    strategy: Strategy,
-    teams: int,
-    hard_cap: int = HARD_CAP_HOURS,
-) -> Callable[[int], ReplicationResult]:
-    def run_one(seed: int) -> ReplicationResult:
-        return run_replication(
-            ctx.net,
-            ctx.roads,
-            ctx.households,
-            scenario,
-            fragility,
-            repair_model,
-            strategy,
-            teams,
-            seed,
-            hard_cap=hard_cap,
-            context=ctx,
-        )
-
-    return run_one
-
-
 @dataclass
 class ExperimentResult:
     """Per-strategy Monte Carlo outputs for one scenario."""
@@ -392,7 +346,10 @@ class ExperimentResult:
     def mpr_horizon(self) -> float:
         """Mean 100%-restoration hour of the baseline strategy's replications."""
         base = self.by_strategy[self.baseline]
-        hours = [rep.households.t1 - rep.households.t0 for rep in base.replications]
+        hours = [
+            full_restoration_hour(rep.records.q_households)
+            for rep in base.replications
+        ]
         horizon = float(np.mean(hours))
         return max(horizon, 1.0)
 
@@ -414,10 +371,13 @@ def run_experiment(
     strategies = list(strategies)
     by_strategy: dict[Strategy, MonteCarloResult] = {}
     for strategy in strategies:
-        runner = make_replication_runner(
-            ctx, scenario, fragility, repair_model, strategy, teams
+        by_strategy[strategy] = run_monte_carlo(
+            mc_config,
+            lambda seed: run_replication(
+                ctx.net, ctx.roads, ctx.households, scenario, fragility,
+                repair_model, strategy, teams, seed, context=ctx,
+            ),
         )
-        by_strategy[strategy] = run_monte_carlo(mc_config, runner)
     baseline = (
         Strategy.COMPONENT_BASED
         if Strategy.COMPONENT_BASED in by_strategy

@@ -93,6 +93,12 @@ class SubstationFragilityParams:
             sigma = dict(log_sd)
         else:
             sigma = {lv: float(log_sd) for lv in _LEVELS_BY_SEVERITY}
+        for lv in _LEVELS_BY_SEVERITY:
+            if not 0 < medians[lv] < math.inf:
+                raise FragilityParamError(
+                    f"median must be finite and > 0 for level {lv.value}, "
+                    f"got {medians[lv]}"
+                )
         mu = {lv: math.log(medians[lv]) for lv in _LEVELS_BY_SEVERITY}
         return cls(mu=mu, sigma=sigma)
 

@@ -1,8 +1,10 @@
-"""Resilience metrics over hourly quality series.
+"""Resilience metrics over an hourly quality column.
 
 Quality Q(t) is the fraction of households (or traffic lights) with power at
-hour t. Transient resilience loss (TRL) integrates 1 - Q(t) from disruption
-to full restoration with left rectangles on the hourly grid; maximum possible
+hour t. Each metric takes one replication's Q column, a 1-D array whose
+position is the hour: every replication starts at hour 0 and steps by one.
+Transient resilience loss (TRL) integrates 1 - Q(t) from disruption to full
+restoration with left rectangles on the hourly grid; maximum possible
 resilience (MPR) is the undisrupted baseline (Q = 1) over the same horizon,
 so TRL/MPR is the fraction of resilience lost.
 """
@@ -14,43 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, UndefinedImprovementError
+from .errors import UndefinedImprovementError
 
 
-@dataclass
-class QualitySeries:
-    """Hourly quality samples from t0 until restoration completes at t1."""
-
-    samples: list[tuple[int, float]]
-    t0: int
-    t1: int
-
-    def __post_init__(self):
-        if not self.samples:
-            raise ValueError("quality series cannot be empty")
-        hours = [h for h, _ in self.samples]
-        if hours[0] != self.t0:
-            raise ValueError("first sample must be at t0")
-        for prev, cur in zip(hours, hours[1:]):
-            if cur != prev + 1:
-                raise ValueError("sample hours must increase by exactly 1")
-        for _, q in self.samples:
-            if not (0.0 <= q <= 1.0 + 1e-12):
-                raise ValueError(f"quality out of [0, 1]: {q}")
-
-    def values(self) -> np.ndarray:
-        return np.array([q for _, q in self.samples])
-
-    def time_averaged(self) -> float:
-        return float(self.values().mean())
+def full_restoration_hour(q: np.ndarray) -> int:
+    """First hour with Q >= 1, or the last hour if Q never gets there."""
+    hits = np.flatnonzero(q >= 1.0)
+    return int(hits[0]) if hits.size else len(q) - 1
 
 
-def resilience_loss(series: QualitySeries) -> float:
-    """Transient resilience loss: sum of (1 - Q(t)) for t in [t0, t1)."""
+def resilience_loss(q: np.ndarray) -> float:
+    """Transient resilience loss: sum of (1 - Q(t)) before full restoration."""
     total = 0.0
-    for hour, q in series.samples:
-        if series.t0 <= hour < series.t1:
-            total += 1.0 - q
+    # left to right: a pairwise np.sum would change the last bits of mean_trl
+    for value in q[: full_restoration_hour(q)].tolist():
+        total += 1.0 - value
     return total
 
 
@@ -74,17 +54,15 @@ DEFAULT_QUANTILE_LEVELS = (0.75, 0.90, 1.0)
 
 
 def restoration_quantiles(
-    series: QualitySeries, levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS
+    q: np.ndarray, levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS
 ) -> dict[float, int]:
-    """Hours from t0 until quality first reaches each level."""
+    """Hours from hour 0 until quality first reaches each level."""
     out: dict[float, int] = {}
     for level in levels:
-        for hour, q in series.samples:
-            if q >= level - 1e-12:
-                out[level] = hour - series.t0
-                break
-        else:
+        hits = np.flatnonzero(q >= level - 1e-12)
+        if not hits.size:
             raise ValueError(f"series never reaches quality {level}")
+        out[level] = int(hits[0])
     return out
 
 
@@ -125,21 +103,3 @@ def normal_ci_halfwidth(values: np.ndarray, confidence: float) -> float:
         return float("inf")
     z = ndtri(0.5 + confidence / 2.0)
     return float(z * values.std(ddof=1) / np.sqrt(n))
-
-
-def bootstrap_mean_ci(
-    values: np.ndarray,
-    confidence: float = 0.95,
-    n_boot: int = 10_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of ``values``."""
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        raise ConfigError("bootstrap needs at least two observations")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(values), size=(n_boot, len(values)))
-    means = values[idx].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(lo), float(hi)

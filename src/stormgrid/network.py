@@ -14,7 +14,6 @@ whitespace-separated typed columns (see README for the three schemas).
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,10 +142,11 @@ class PowerIndex:
         # BFS forest rooted at the plants over the pristine graph. Used for
         # canonical upstream paths and per-substation service areas; for a
         # radial grid the forest is the grid itself.
-        self.parent = self._bfs_forest(net)
-        self.substation_of = self._assign_substations(net)
+        self.parent, visit_order = self._bfs_forest(net)
+        self.substation_of = self._assign_substations(net, visit_order)
 
-    def _bfs_forest(self, net: PowerNetwork) -> np.ndarray:
+    def _bfs_forest(self, net: PowerNetwork) -> tuple[np.ndarray, list[int]]:
+        """Parent per component (-1 for roots and unreached) and BFS visit order."""
         neighbors: list[list[int]] = [[] for _ in self.ids]
         for a, b in net.edges:
             ia, ib = self.pos[a], self.pos[b]
@@ -156,47 +156,33 @@ class PowerIndex:
             lst.sort()
         parent = np.full(len(self.ids), -1, dtype=np.intp)
         seen = np.zeros(len(self.ids), dtype=bool)
-        queue = deque(sorted(self.plant_idx.tolist()))
+        order = sorted(self.plant_idx.tolist())
         seen[self.plant_idx] = True
-        while queue:
-            u = queue.popleft()
+        for u in order:  # the visit order grows as it is walked: it is the queue
             for v in neighbors[u]:
                 if not seen[v]:
                     seen[v] = True
                     parent[v] = u
-                    queue.append(v)
-        return parent
+                    order.append(v)
+        return parent, order
 
-    def _assign_substations(self, net: PowerNetwork) -> np.ndarray:
-        """Nearest substation ancestor (by BFS forest) per component, -1 if none."""
-        sub = np.full(len(self.ids), -1, dtype=np.intp)
+    def _assign_substations(
+        self, net: PowerNetwork, visit_order: list[int]
+    ) -> np.ndarray:
+        """Nearest substation ancestor (by BFS forest) per component, -1 if none.
+
+        ``visit_order`` puts every parent before its children. Components the
+        BFS never reached have no forest children, so only their own kind
+        decides their entry.
+        """
         is_sub = np.array(
             [net.components[c].kind is ComponentKind.SUBSTATION for c in self.ids]
         )
-        order = self._topo_order()
-        for u in order:
-            if is_sub[u]:
-                sub[u] = u
-            elif self.parent[u] >= 0:
+        sub = np.where(is_sub, np.arange(len(self.ids)), -1).astype(np.intp)
+        for u in visit_order:
+            if not is_sub[u] and self.parent[u] >= 0:
                 sub[u] = sub[self.parent[u]]
         return sub
-
-    def _topo_order(self) -> list[int]:
-        """Forest order with parents before children."""
-        children: list[list[int]] = [[] for _ in self.ids]
-        roots = []
-        for u, p in enumerate(self.parent):
-            if p >= 0:
-                children[p].append(u)
-            else:
-                roots.append(u)
-        order = []
-        stack = list(reversed(roots))
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(children[u]))
-        return order
 
     def path_to_root(self, idx: int) -> list[int]:
         """Component indices from ``idx`` up to (and excluding) its plant."""

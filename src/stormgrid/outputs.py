@@ -34,15 +34,16 @@ def _strategy_summary(
     mpr_horizon: float,
     baseline_mean_trl: float | None,
 ) -> ResilienceSummary:
-    losses = [resilience_loss(rep.households) for rep in mc.replications]
+    losses = [resilience_loss(rep.records.q_households) for rep in mc.replications]
     mean_trl = float(np.mean(losses))
     quantiles: dict[float, list[float]] = {lv: [] for lv in DEFAULT_QUANTILE_LEVELS}
     lights_100: list[float] = []
     for rep in mc.replications:
-        per_rep = restoration_quantiles(rep.households)
+        per_rep = restoration_quantiles(rep.records.q_households)
         for lv in DEFAULT_QUANTILE_LEVELS:
             quantiles[lv].append(per_rep[lv])
-        lights_100.append(restoration_quantiles(rep.traffic_lights, (1.0,))[1.0])
+        q_tl = rep.records.q_traffic_lights
+        lights_100.append(restoration_quantiles(q_tl, (1.0,))[1.0])
     improvement = None
     if baseline_mean_trl is not None:
         improvement = improvement_pct(mean_trl, baseline_mean_trl)
@@ -64,7 +65,9 @@ def build_summaries(
     mpr_horizon = experiment.mpr_horizon()
     base_mc = experiment.by_strategy[experiment.baseline]
     base_trl = float(
-        np.mean([resilience_loss(rep.households) for rep in base_mc.replications])
+        np.mean(
+            [resilience_loss(rep.records.q_households) for rep in base_mc.replications]
+        )
     )
     out: dict[Strategy, ResilienceSummary] = {}
     for strategy, mc in experiment.by_strategy.items():
@@ -78,11 +81,9 @@ def write_timeseries(mc: MonteCarloResult, path: Path) -> Path:
         with open(path, "w") as fh:
             fh.write(TIMESERIES_HEADER + "\n")
             for rep_no, rep in enumerate(mc.replications):
-                for rec in rep.records:
+                for hour, q_hh, q_tl, failed, passable, *_ in rep.records.tolist():
                     fh.write(
-                        f"{rep_no},{rec.hour},{rec.q_households:.6f},"
-                        f"{rec.q_traffic_lights:.6f},{rec.failed_components},"
-                        f"{rec.passable_links}\n"
+                        f"{rep_no},{hour},{q_hh:.6f},{q_tl:.6f},{failed},{passable}\n"
                     )
     except OSError as exc:
         raise StormGridError(f"cannot write timeseries {path}: {exc}") from exc

@@ -6,15 +6,19 @@ mpmath for the fragility formulas, restoration orderings restated with
 Python ``sorted``, the scheduling walk restated over ids, and the closed
 form for the hour a flooded link reopens. They share no code with the
 package beyond the network index, the crew road node and the road distance
-query they take as inputs.
+query they take as inputs. The percentile bootstrap below is the statistic
+the acceptance criteria use to compare strategies; the package needs no
+bootstrap of its own.
 """
 
 import math
 from collections import Counter, deque
 
 import mpmath as mp
+import numpy as np
 
 from stormgrid.coupling import component_road_node
+from stormgrid.errors import ConfigError
 
 mp.mp.dps = 40
 
@@ -184,3 +188,21 @@ def reference_walk(order, components, depth_by_link, scenario, crews_by_id, avai
         available -= crews_by_id[cid]
         started.append(cid)
     return started
+
+
+def bootstrap_mean_ci(
+    values: np.ndarray,
+    confidence: float = 0.95,
+    n_boot: int = 10_000,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """Percentile bootstrap CI for the mean of ``values``."""
+    values = np.asarray(values, dtype=float)
+    if len(values) < 2:
+        raise ConfigError("bootstrap needs at least two observations")
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(values), size=(n_boot, len(values)))
+    means = values[idx].mean(axis=1)
+    alpha = (1.0 - confidence) / 2.0
+    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
+    return float(lo), float(hi)

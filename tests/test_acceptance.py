@@ -14,6 +14,7 @@ import pytest
 from stormgrid.cli import load_scenario, main
 from stormgrid.coupling import RoadIndex, fuel_route_available
 from stormgrid.engine import (
+    RECORD_DTYPE,
     MonteCarloConfig,
     ReplicationResult,
     SimulationContext,
@@ -31,8 +32,6 @@ from stormgrid.fragility import (
 )
 from stormgrid.hazard import drain_step, initial_flood, passable_mask
 from stormgrid.metrics import (
-    QualitySeries,
-    bootstrap_mean_ci,
     improvement_pct,
     max_possible_resilience,
     resilience_loss,
@@ -96,10 +95,11 @@ def matrix(default_testbed):
             for rec in res.records:
                 if rec.crews_available + rec.crews_in_use != teams:
                     crew_violations += 1
-            trl.append(resilience_loss(res.households))
-            trl_tl.append(resilience_loss(res.traffic_lights))
-            q100_hh.append(restoration_quantiles(res.households, (1.0,))[1.0])
-            q100_tl.append(restoration_quantiles(res.traffic_lights, (1.0,))[1.0])
+            q_hh, q_tl = res.records.q_households, res.records.q_traffic_lights
+            trl.append(resilience_loss(q_hh))
+            trl_tl.append(resilience_loss(q_tl))
+            q100_hh.append(restoration_quantiles(q_hh, (1.0,))[1.0])
+            q100_tl.append(restoration_quantiles(q_tl, (1.0,))[1.0])
             horizons.append(res.horizon())
         out[(wind, deps, strategy)] = {
             "trl": np.array(trl),
@@ -236,13 +236,13 @@ def test_criterion_05_strategy_ordering(matrix):
     assert low[C].mean() > low[D].mean() > low[T].mean(), {
         s.value: low[s].mean() for s in low
     }
-    lo, hi = bootstrap_mean_ci(low[C] - low[T], confidence=0.95, seed=11)
+    lo, hi = oracles.bootstrap_mean_ci(low[C] - low[T], confidence=0.95, seed=11)
     assert lo > 0.0, f"component-vs-traffic-light gap CI [{lo:.2f}, {hi:.2f}]"
 
     high = {s: matrix[(HIGH_WIND, True, s)]["trl"] for s in (C, D, T)}
     assert high[D].mean() < high[C].mean()
     assert high[T].mean() < high[C].mean()
-    dlo, dhi = bootstrap_mean_ci(high[D] - high[T], confidence=0.95, seed=11)
+    dlo, dhi = oracles.bootstrap_mean_ci(high[D] - high[T], confidence=0.95, seed=11)
     assert dlo <= 0.0 <= dhi, (
         f"distance/traffic-light difference significant at high wind: "
         f"CI [{dlo:.2f}, {dhi:.2f}]"
@@ -290,10 +290,10 @@ def test_criterion_09_stopping_rule():
     def source(values):
         def run_one(seed):
             q = float(values[seed % len(values)])
-            series = QualitySeries(samples=[(0, q)], t0=0, t1=0)
+            records = np.array([(0, q, q, 0, 0, 0, 0)], dtype=RECORD_DTYPE)
             return ReplicationResult(
-                seed=seed, strategy=C, households=series, traffic_lights=series,
-                records=[], events=[], initial_failures=[],
+                seed=seed, strategy=C, records=records.view(np.recarray),
+                events=[], initial_failures=[],
             )
         return run_one
 
@@ -342,14 +342,10 @@ def test_criterion_10_determinism_and_crew_conservation(matrix, tmp_path):
 
 
 def test_criterion_11_metric_identities():
-    perfect = QualitySeries(samples=[(0, 1.0)], t0=0, t1=0)
+    perfect = np.array([1.0])
     assert resilience_loss(perfect) == 0.0
     horizon = 174
-    blackout = QualitySeries(
-        samples=[(t, 0.0) for t in range(horizon)] + [(horizon, 1.0)],
-        t0=0,
-        t1=horizon,
-    )
+    blackout = np.array([0.0] * horizon + [1.0])
     assert resilience_loss(blackout) == pytest.approx(float(horizon))
     assert resilience_loss(blackout) == pytest.approx(max_possible_resilience(horizon))
     assert improvement_pct(53.16, 58.18) == pytest.approx(8.6, abs=0.1)

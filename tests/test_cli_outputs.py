@@ -451,6 +451,45 @@ class TestMainEndToEnd:
         assert "non_finite.json" in err and bad in err and "nan" in err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize(
+        "override,named",
+        [
+            ({"runoff_in": "deep"}, "runoff_in"),
+            ({"drainage_in_per_hr": None}, "drainage_in_per_hr"),
+            ({"line_fragility": [67.1]}, "line_fragility"),
+            ({"substation_fragility": {
+                "moderate": [0, 0.2], "severe": [200.0, 0.2], "complete": [250.0, 0.2]
+            }}, "median must be finite and > 0"),
+            ({"fuel_sources": {"GEN0": [1.0]}}, "fuel_sources"),
+            ({"repair_overrides": {"pole": 5}}, "repair row 'pole'"),
+            ({"fuel_dependence": "false"}, "fuel_dependence"),
+        ],
+        ids=["runoff-string", "drainage-null", "line-one-value", "zero-median",
+             "fuel-source-one-coord", "repair-row-scalar", "flag-string"],
+    )
+    def test_malformed_scenario_value_exits_2_before_networks(
+        self, testbed_files, tmp_path, capsys, override, named
+    ):
+        power = tmp_path / "bad_power.txt"
+        power.write_text("component X reactor 0 0\n")
+        scenario = tmp_path / "malformed.json"
+        raw = json.loads(testbed_files["scenario"].read_text())
+        scenario.write_text(json.dumps(dict(raw, **override)))
+        rc = main([
+            "simulate",
+            "--power", str(power),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(scenario),
+            "--teams", "6",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(scenario) in err
+        assert named in err and "bad_power.txt" not in err
+        assert not (tmp_path / "res").exists()
+
     def test_scenario_checked_before_networks(self, testbed_files, tmp_path, capsys):
         power = tmp_path / "bad_power.txt"
         power.write_text("component X reactor 0 0\n")

@@ -10,6 +10,7 @@ from stormgrid.coupling import (
 from stormgrid.engine import run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, drain_step, initial_flood, passable_mask
+from stormgrid.metrics import full_restoration_hour
 from stormgrid.network import assign_nearest_road_links
 from stormgrid.restoration import Strategy
 
@@ -144,10 +145,10 @@ class TestPlantOperational:
             Strategy.DISTANCE_BASED, teams=1, seed=0,
         )
         assert res.initial_failures == []
-        assert res.households.t1 == 16
+        assert full_restoration_hour(res.records.q_households) == 16
         plant = net.components["P"]
         flood = initial_flood(sc, roads.link_ids)
-        for hour, q in res.households.samples:
+        for q in res.records.q_households.tolist():
             assert (q == 1.0) is fuel_ok(plant, net, roads, flood, sc)
             assert q in (0.0, 1.0)
             flood = drain_step(flood, sc)

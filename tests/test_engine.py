@@ -7,6 +7,7 @@ import pytest
 
 from stormgrid.cli import load_scenario
 from stormgrid.engine import (
+    RECORD_DTYPE,
     MonteCarloConfig,
     ReplicationResult,
     SimulationContext,
@@ -17,7 +18,7 @@ from stormgrid.engine import (
 from stormgrid.errors import ConfigError, SimulationCapError
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
-from stormgrid.metrics import QualitySeries, resilience_loss
+from stormgrid.metrics import full_restoration_hour, resilience_loss
 from stormgrid.network import assign_nearest_road_links, load_networks
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
@@ -58,26 +59,23 @@ class TestRunReplication:
         res = run_small(small_testbed, wind=0.0, strategy=Strategy.DISTANCE_BASED,
                         seed=1, deps=False)
         assert res.horizon() == 0
-        assert res.households.samples == [(0, 1.0)]
+        assert res.records.q_households.tolist() == [1.0]
         assert res.initial_failures == []
 
     def test_wind_zero_with_flood_waits_for_fuel(self, small_testbed):
         res = run_small(small_testbed, wind=0.0, strategy=Strategy.DISTANCE_BASED,
                         seed=1, deps=True)
         # 12-inch runoff: the fuel route reopens at hour 16 exactly.
-        assert res.households.t1 == 16
-        assert all(q == 0.0 for h, q in res.households.samples if h < 16)
-        assert resilience_loss(res.households) == pytest.approx(16.0)
+        q = res.records.q_households
+        assert full_restoration_hour(q) == 16
+        assert all(q[:16] == 0.0)
+        assert resilience_loss(q) == pytest.approx(16.0)
 
     def test_same_seed_bit_identical(self, small_testbed):
         a = run_small(small_testbed, 95.0, Strategy.TRAFFIC_LIGHT_BASED, seed=4)
         b = run_small(small_testbed, 95.0, Strategy.TRAFFIC_LIGHT_BASED, seed=4)
-        assert a.households.samples == b.households.samples
-        assert a.traffic_lights.samples == b.traffic_lights.samples
         assert a.events == b.events
-        assert [dataclasses.astuple(r) for r in a.records] == [
-            dataclasses.astuple(r) for r in b.records
-        ]
+        assert a.records.tolist() == b.records.tolist()
 
     def test_paired_failure_sets_across_strategies(self, small_testbed):
         failures = {
@@ -147,9 +145,9 @@ class TestScriptedChain:
         )
         assert res.initial_failures == ["CO"]
         assert res.records[0].q_households == pytest.approx(2 / 5)
-        duration = res.households.t1
+        duration = full_restoration_hour(res.records.q_households)
         assert 1 <= duration <= 9  # ceil of a N(4, 2) draw, floored at 1
-        for hour, q in res.households.samples:
+        for hour, q in enumerate(res.records.q_households.tolist()):
             expected = 2 / 5 if hour < duration else 1.0
             assert q == pytest.approx(expected)
         assert res.events == [
@@ -213,10 +211,10 @@ def fake_run_one(values):
     """Synthetic replication source yielding preset time-averaged qualities."""
     def run_one(seed):
         q = float(values[seed % len(values)])
-        s = QualitySeries(samples=[(0, q)], t0=0, t1=0)
+        records = np.array([(0, q, q, 0, 0, 0, 0)], dtype=RECORD_DTYPE)
         return ReplicationResult(
-            seed=seed, strategy=Strategy.COMPONENT_BASED, households=s,
-            traffic_lights=s, records=[], events=[], initial_failures=[],
+            seed=seed, strategy=Strategy.COMPONENT_BASED,
+            records=records.view(np.recarray), events=[], initial_failures=[],
         )
     return run_one
 

@@ -119,7 +119,8 @@ class TestCurveProperties:
             )
 
     @pytest.mark.parametrize(
-        "median,sd", [(math.nan, 0.2), (math.inf, 0.2), (140.0, math.nan)]
+        "median,sd",
+        [(math.nan, 0.2), (math.inf, 0.2), (140.0, math.nan), (0.0, 0.2), (-140.0, 0.2)],
     )
     def test_non_finite_substation_params_rejected(self, median, sd):
         with pytest.raises(FragilityParamError, match="finite"):

@@ -7,24 +7,30 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
+from stormgrid.engine import (
+    RECORD_DTYPE,
+    MonteCarloConfig,
+    ReplicationResult,
+    run_monte_carlo,
+)
 from stormgrid.errors import UndefinedImprovementError
 from stormgrid.metrics import (
-    QualitySeries,
     ResilienceSummary,
-    bootstrap_mean_ci,
+    full_restoration_hour,
     improvement_pct,
     max_possible_resilience,
     normal_ci_halfwidth,
     resilience_loss,
     restoration_quantiles,
 )
+from stormgrid.restoration import Strategy
+
+from .oracles import bootstrap_mean_ci
 
 
-def series(values, t0=0, t1=None):
-    samples = [(t0 + i, v) for i, v in enumerate(values)]
-    if t1 is None:
-        t1 = samples[-1][0]
-    return QualitySeries(samples=samples, t0=t0, t1=t1)
+def series(values):
+    """An hourly Q column from hour 0."""
+    return np.array(values, dtype=float)
 
 
 class TestResilienceLoss:
@@ -33,8 +39,8 @@ class TestResilienceLoss:
         assert resilience_loss(series([1.0, 1.0, 1.0])) == 0.0
 
     def test_hand_sum(self):
-        s = series([1.0, 0.5, 0.75, 1.0])
-        assert resilience_loss(s) == pytest.approx(0.75)
+        s = series([0.0, 0.5, 0.75, 1.0])
+        assert resilience_loss(s) == pytest.approx(1.75)
 
     def test_total_blackout_equals_horizon(self):
         values = [0.0] * 174 + [1.0]
@@ -50,7 +56,7 @@ class TestResilienceLoss:
             vals[-1] = 1.0
             s = series(list(vals))
             loss = resilience_loss(s)
-            assert 0.0 <= loss <= s.t1 - s.t0 + 1e-9
+            assert 0.0 <= loss <= full_restoration_hour(s) + 1e-9
 
     def test_pointwise_improvement_never_increases_loss(self):
         rng = np.random.default_rng(3)
@@ -108,30 +114,31 @@ class TestQuantiles:
             assert q[0.75] <= q[0.90] <= q[1.0]
 
     def test_offset_t0(self):
-        s = series([0.0, 1.0], t0=5)
-        assert restoration_quantiles(s)[1.0] == 1
+        # the position in the column is the hour; hours are plain ints for JSON
+        hours = restoration_quantiles(series([0.0] * 5 + [1.0]))
+        assert hours == {0.75: 5, 0.90: 5, 1.0: 5}
+        assert all(type(h) is int for h in hours.values())
 
     def test_never_reached_raises(self):
-        s = QualitySeries(samples=[(0, 0.5), (1, 0.6)], t0=0, t1=1)
+        s = series([0.5, 0.6])
         with pytest.raises(ValueError):
             restoration_quantiles(s, (1.0,))
 
 
 class TestQualitySeries:
-    def test_rejects_gap_in_hours(self):
-        with pytest.raises(ValueError):
-            QualitySeries(samples=[(0, 1.0), (2, 1.0)], t0=0, t1=2)
-
-    def test_rejects_out_of_range_quality(self):
-        with pytest.raises(ValueError):
-            QualitySeries(samples=[(0, 1.5)], t0=0, t1=0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            QualitySeries(samples=[], t0=0, t1=0)
-
     def test_time_average(self):
-        assert series([1.0, 0.5, 0.0]).time_averaged() == pytest.approx(0.5)
+        # the stopping rule's statistic is the mean of the household column
+        records = np.array(
+            [(h, q, 1.0, 0, 0, 0, 0) for h, q in enumerate([1.0, 0.5, 0.0])],
+            dtype=RECORD_DTYPE,
+        ).view(np.recarray)
+        rep = ReplicationResult(
+            seed=0, strategy=Strategy.COMPONENT_BASED, records=records,
+            events=[], initial_failures=[],
+        )
+        cfg = MonteCarloConfig(min_replications=2, max_replications=2)
+        out = run_monte_carlo(cfg, lambda seed: rep)
+        assert out.statistics.tolist() == [pytest.approx(0.5)] * 2
 
 
 class TestSummary:

@@ -184,7 +184,7 @@ class TestPoweredSet:
         (start,) = [h for h, kind, _ in res.events if kind == "job_started"]
         (done,) = [h for h, kind, _ in res.events if kind == "repaired"]
         assert start == 0 and done >= 1
-        for hour, q in res.households.samples:
+        for hour, q in enumerate(res.records.q_households.tolist()):
             assert q == (0.0 if hour < done else 1.0)
 
     def test_repaired_conducts(self):
@@ -269,7 +269,7 @@ class TestPoweredFractions:
         net, roads, hh, hazard = scripted_chain({})
         res = run_chain(net, roads, hh, hazard)
         assert res.initial_failures == []
-        assert res.households.samples == [(0, 1.0)]
+        assert res.records.q_households.tolist() == [1.0]
 
     def test_downstream_of_failed_conductor(self):
         net, roads, hh, hazard = scripted_chain({300: 160.0})
@@ -292,7 +292,7 @@ class TestPoweredFractions:
         net, roads, hh, hazard = scripted_chain({300: 160.0}, households=False)
         res = run_chain(net, roads, hh, hazard)
         assert res.initial_failures == ["CO"]
-        assert all(q == 1.0 for _, q in res.households.samples)
+        assert all(res.records.q_households == 1.0)
 
     def test_traffic_light_fraction(self):
         net, roads, hh, hazard = scripted_chain({300: 160.0}, lights=self.LIGHTS)
@@ -310,7 +310,7 @@ class TestPoweredFractions:
         net, roads, hh, hazard = scripted_chain({100: 160.0})
         res = run_chain(net, roads, hh, hazard)
         assert res.initial_failures == ["LN"]
-        assert all(q == 1.0 for _, q in res.traffic_lights.samples)
+        assert all(res.records.q_traffic_lights == 1.0)
 
 
 class TestNearestRoadLink:

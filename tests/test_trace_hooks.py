@@ -1,16 +1,21 @@
-"""The benchmark tracer's hooks still resolve against the package.
+"""The benchmark's hooks and checks still resolve against the package.
 
 ``perfbench/spans.py`` replaces stormgrid functions where their callers look
 them up and counts calls at those boundaries. A refactor that renames,
 inlines or re-signs one of them makes its traced metrics read zero or fail;
 this runs one small replication per strategy under the tracer.
+``perfbench/checks.py`` reads result fields row by row; a smoke experiment
+checks that it still finds what it reads.
 """
 
 from pathlib import Path
 
 import stormgrid.engine as engine
+from stormgrid.cli import load_scenario
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
+from stormgrid.network import load_networks
+from stormgrid.outputs import emit_outputs
 from stormgrid.restoration import Strategy
 
 from .test_restoration import radial_net
@@ -55,3 +60,35 @@ def test_tracer_counts_every_layer(monkeypatch):
     assert c["coupling.labels_for_calls"] > 0
     assert c["network.powered_mask_calls"] > 0
     assert not hasattr(engine.run_replication, "__wrapped__")  # uninstalled
+
+
+def test_benchmark_checks_read_results(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import workloads
+
+    workload = workloads.WORKLOADS["landfall-gradient"]
+    files = workloads.make_inputs(workload, 1, tmp_path / "inputs", smoke=True)
+    net, roads, households = load_networks(
+        files["power"], files["roads"], files["couplings"]
+    )
+    cfg = load_scenario(files["scenario"])
+    mc = engine.MonteCarloConfig(
+        min_replications=workload.min_reps, max_replications=workload.max_reps
+    )
+    result = engine.run_experiment(
+        net, roads, households, cfg.hazard, cfg.fragility, cfg.repair,
+        list(Strategy), workload.teams, mc,
+    )
+    emit_outputs(result, tmp_path / "out")
+
+    ref = checks.Reference(files)
+    report = checks.check_experiment(
+        ref, result, tmp_path / "out", workload.teams, ref.fueled_plants_at_hour0()
+    )
+    assert report.messages == []
+    assert report.attempted == 3 * workload.min_reps
+    horizons = [
+        rep.horizon() for mc in result.by_strategy.values() for rep in mc.replications
+    ]
+    assert all(type(h) is int for h in horizons)
