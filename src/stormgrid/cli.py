@@ -70,17 +70,31 @@ _KIND_TOKENS = {k.value: k for k in ComponentKind}
 _LEVEL_TOKENS = {lv.value: lv for lv in DamageLevel}
 
 
+def _number(value, integral: bool = False) -> float | int:
+    """A scenario number: a JSON number that is not a boolean.
+
+    With ``integral`` the value must also be whole, and comes back as an int.
+    Wrong values raise ``TypeError``/``ValueError``, which
+    :func:`_scenario_value` reports with the file and key.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _parse_wind(raw, path):
-    if isinstance(raw, (int, float)):
-        return float(raw)
     if isinstance(raw, dict) and "cells" in raw:
         cells = []
         for cell in raw["cells"]:
             if len(cell) != 5:
                 raise FormatError(path, 0, f"wind cell needs 5 values, got {cell}")
-            cells.append(WindCell(*[float(v) for v in cell]))
+            cells.append(WindCell(*[_number(v) for v in cell]))
         return cells
-    raise FormatError(path, 0, f"wind_mph must be a number or {{'cells': [...]}}")
+    return _number(raw)
 
 
 def _parse_repair_overrides(raw, path) -> RepairModel:
@@ -102,7 +116,9 @@ def _parse_repair_overrides(raw, path) -> RepairModel:
             raise FormatError(path, 0, f"repair row {key!r} needs [mean, sd, crews]")
         try:
             rows[(kind, level)] = RepairSpec(
-                float(triple[0]), float(triple[1]), int(triple[2])
+                _number(triple[0]),
+                _number(triple[1]),
+                _number(triple[2], integral=True),
             )
         except (TypeError, ValueError, RepairModelError) as exc:
             raise FormatError(path, 0, f"repair row {key!r}: {exc}") from exc
@@ -115,7 +131,8 @@ def _scenario_value(path: Path, key: str):
     try:
         yield
     except (
-        ValueError, TypeError, LookupError, AttributeError, FragilityParamError
+        ValueError, TypeError, LookupError, AttributeError, OverflowError,
+        FragilityParamError,
     ) as exc:
         raise FormatError(path, 0, f"{key}: {exc}") from exc
 
@@ -144,22 +161,22 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         runoff = raw.get("runoff_in", 0.0)
         if isinstance(runoff, dict):
             initial_runoff = {
-                str(k): float(v) for k, v in runoff.get("per_link", {}).items()
+                str(k): _number(v) for k, v in runoff.get("per_link", {}).items()
             }
-            runoff_default = float(runoff.get("default", 0.0))
+            runoff_default = _number(runoff.get("default", 0.0))
         else:
-            initial_runoff, runoff_default = float(runoff), 0.0
+            initial_runoff, runoff_default = _number(runoff), 0.0
 
     with _scenario_value(path, "fuel_sources"):
         fuel_sources = {
-            str(pid): (float(x), float(y))
+            str(pid): (_number(x), _number(y))
             for pid, (x, y) in raw.get("fuel_sources", {}).items()
         }
 
     with _scenario_value(path, "drainage_in_per_hr"):
-        drainage = float(raw.get("drainage_in_per_hr", DEFAULT_DRAINAGE_IN_PER_HR))
+        drainage = _number(raw.get("drainage_in_per_hr", DEFAULT_DRAINAGE_IN_PER_HR))
     with _scenario_value(path, "passable_threshold_in"):
-        threshold = float(
+        threshold = _number(
             raw.get("passable_threshold_in", DEFAULT_PASSABLE_THRESHOLD_IN)
         )
     flags = {}
@@ -195,15 +212,15 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
                         path, 0, f"substation_fragility missing level {lv.value!r}"
                     )
                 med, sd = spec[lv.value]
-                medians[lv] = float(med)
-                sigmas[lv] = float(sd)
+                medians[lv] = _number(med)
+                sigmas[lv] = _number(sd)
             sub_params = SubstationFragilityParams.from_medians(medians, sigmas)
 
     line_params = LineFragilityParams()
     if "line_fragility" in raw:
         with _scenario_value(path, "line_fragility"):
             crit, coll = raw["line_fragility"]
-            line_params = LineFragilityParams(float(crit), float(coll))
+            line_params = LineFragilityParams(_number(crit), _number(coll))
 
     repair = RepairModel()
     if "repair_overrides" in raw:

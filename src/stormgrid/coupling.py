@@ -5,6 +5,10 @@ to individual components and fuel delivery to plants. (The reverse coupling,
 power outages knocking out traffic lights, is a connectivity query and lives
 with the network code; the traffic-light restoration strategy consumes it.)
 
+Where the two meet is decided here too, as road-node positions: each
+component's crew road node (once per network) and each plant's fuel entry
+node (once per replication, as the scenario may move it).
+
 Fuel delivery needs any passable route from the fuel source to the plant's
 road node, which is plain reachability on the passable subgraph: if the
 shortest route is cut but a longer one survives, delivery continues.
@@ -17,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .hazard import HazardScenario
-from .network import PowerComponent, PowerNetwork, RoadNetwork
+from .network import PowerNetwork, RoadNetwork
 
 
 class RoadIndex:
@@ -40,7 +44,7 @@ class RoadIndex:
             ends[i, 1] = self.pos[link.endpoints[1]]
             self.lengths[i] = link.length_m
         self.link_ends = ends
-        self._coords = np.array([roads.intersections[n] for n in self.node_ids])
+        self.coords = np.array([roads.intersections[n] for n in self.node_ids])
         self._label_cache: dict[bytes, np.ndarray] = {}
 
     def n_nodes(self) -> int:
@@ -78,24 +82,8 @@ class RoadIndex:
         )
 
     def nearest_node(self, location: tuple[float, float]) -> int:
-        d2 = ((self._coords - np.asarray(location)) ** 2).sum(axis=1)
+        d2 = ((self.coords - np.asarray(location)) ** 2).sum(axis=1)
         return int(np.argmin(d2))
-
-
-def component_road_node(component: PowerComponent, roads: RoadNetwork) -> str:
-    """Road intersection where crews reach the component.
-
-    The endpoint of the component's nearest road link that lies closer to the
-    component; ties go to the endpoint with the lower intersection id.
-    """
-    link = roads.links[component.nearest_road_link]
-    a, b = sorted(link.endpoints)
-    ax, ay = roads.intersections[a]
-    bx, by = roads.intersections[b]
-    cx, cy = component.location
-    da = (ax - cx) ** 2 + (ay - cy) ** 2
-    db = (bx - cx) ** 2 + (by - cy) ** 2
-    return a if da <= db else b
 
 
 def component_accessible(
@@ -111,55 +99,63 @@ def component_accessible(
     return bool(passable[link])
 
 
+def crew_road_nodes(
+    index: RoadIndex, comp_link: np.ndarray, locations: np.ndarray
+) -> np.ndarray:
+    """Road-node position where crews reach each component.
+
+    ``comp_link`` holds each component's nearest road link position and
+    ``locations`` its (x, y) row. The answer is the endpoint of that link
+    nearer the component; an exact tie goes to the endpoint whose
+    intersection id sorts lower.
+    """
+    n = index.n_nodes()
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=index.node_ids.__getitem__)] = np.arange(n)
+    a, b = index.link_ends[comp_link].T
+    a_first = rank[a] < rank[b]
+    lo, hi = np.where(a_first, a, b), np.where(a_first, b, a)
+    (ax, ay), (bx, by) = index.coords[lo].T, index.coords[hi].T
+    cx, cy = locations.T
+    da = (ax - cx) ** 2 + (ay - cy) ** 2
+    db = (bx - cx) ** 2 + (by - cy) ** 2
+    return np.where(da <= db, lo, hi)
+
+
 def resolve_fuel_nodes(
     net: PowerNetwork,
-    roads: RoadNetwork,
     scenario: HazardScenario,
-    index: RoadIndex | None = None,
-) -> dict[str, str]:
-    """Fuel-entry road node per plant.
+    index: RoadIndex,
+    plant_node: np.ndarray,
+) -> np.ndarray:
+    """Road-node position where fuel enters, one per plant in ``net.plants``.
 
     Scenario fuel-source coordinates take precedence (snapped to the nearest
-    intersection); otherwise the coupling file's fuel records apply; a plant
-    with neither defaults to its own road node (fuel at the gate).
+    intersection); otherwise the coupling file's fuel record applies; a plant
+    with neither takes fuel at its own crew road node, ``plant_node``.
     """
-    index = index or RoadIndex(roads)
-    nodes: dict[str, str] = {}
-    for plant in net.plants:
+    nodes = plant_node.copy()
+    for p, plant in enumerate(net.plants):
         if plant in scenario.fuel_source_coords:
-            nodes[plant] = index.node_ids[
-                index.nearest_node(scenario.fuel_source_coords[plant])
-            ]
+            nodes[p] = index.nearest_node(scenario.fuel_source_coords[plant])
         elif plant in net.fuel_source:
-            nodes[plant] = net.fuel_source[plant]
-        else:
-            nodes[plant] = component_road_node(net.components[plant], roads)
+            nodes[p] = index.pos[net.fuel_source[plant]]
     return nodes
 
 
-def fuel_route_available(
-    plant: PowerComponent,
-    net: PowerNetwork,
-    roads: RoadNetwork,
+def fuel_reachable(
+    index: RoadIndex,
+    fuel_node: np.ndarray,
+    plant_node: np.ndarray,
     passable: np.ndarray,
     scenario: HazardScenario,
-    index: RoadIndex | None = None,
-    fuel_nodes: dict[str, str] | None = None,
-) -> bool:
-    """Does any passable route reach the plant from its fuel source?
+) -> np.ndarray:
+    """Mask over plants: does any passable route join fuel source and plant?
 
     A plant runs only while this holds (when the fuel coupling is on).
-    ``passable`` is this hour's mask over road links. ``fuel_nodes`` is
-    :func:`resolve_fuel_nodes` for the same scenario, resolved here when not
-    given.
+    ``passable`` is this hour's mask over road links.
     """
     if not scenario.fuel_dependence:
-        return True
-    index = index or RoadIndex(roads)
-    if fuel_nodes is None:
-        fuel_nodes = resolve_fuel_nodes(net, roads, scenario, index)
-    source = index.pos[fuel_nodes[plant.id]]
-    target = index.pos[component_road_node(plant, roads)]
+        return np.ones(len(plant_node), dtype=bool)
     labels = index.labels_for(passable)
-    return bool(labels[source] == labels[target])
-
+    return labels[fuel_node] == labels[plant_node]

@@ -13,10 +13,10 @@ is rejected at hour 0, since that job could never start.
 After the hour-0 draw a replication works only with component positions
 and masks it owns: a conducting mask over components, a mask of pending
 (failed, not yet started) components, each failed component's repair spec,
-the active job list, and the flood depths with one passable mask per hour
-over road links. The draw itself writes only substation damage levels onto
-the shared component objects; ids reappear only in the events, the initial
-failure list and the hour-cap error.
+the active job list, a fueled mask over plants, and the flood depths with
+one passable mask per hour over road links. The draw itself writes only
+substation damage levels onto the shared component objects; ids reappear
+only in the events, the initial failure list and the hour-cap error.
 
 Seeding is layered so comparisons are paired: the failure draw comes from a
 substream of the replication seed that no strategy-dependent code touches,
@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .coupling import RoadIndex, fuel_route_available, resolve_fuel_nodes
+from .coupling import RoadIndex, crew_road_nodes, fuel_reachable, resolve_fuel_nodes
 from .errors import ConfigError, SimulationCapError
 from .fragility import FragilityConfig, RepairModel, sample_failures
 from .hazard import HazardScenario, drain_step, initial_flood, passable_mask
@@ -86,11 +86,12 @@ class SimulationContext:
     """Static per-network state shared across replications and strategies.
 
     Holds the integer indexes, the prioritizer (with its road-distance
-    caches), the household/light attachment arrays and each component's
-    nearest road link position. Nothing here changes during a replication
-    except those caches. The hour-0 failure draw still writes substation
-    damage levels onto the components, so replications run one at a time
-    per context.
+    caches) and the position arrays it and the replications read: per
+    component its nearest road link and crew road node, per household and
+    light its attachment, and per plant its position and road node. Nothing
+    here changes during a replication except those caches. The hour-0
+    failure draw still writes substation damage levels onto the components,
+    so replications run one at a time per context.
     """
 
     def __init__(
@@ -102,14 +103,28 @@ class SimulationContext:
         self.net = net
         self.roads = roads
         self.households = households
-        self.index = net.index
-        self.road_index = RoadIndex(roads)
-        self.prioritizer = Prioritizer(net, roads, households, self.road_index)
-        self.hh_attach = self.prioritizer.hh_attach
-        self.light_feed = self.prioritizer.light_feed
-        self.comp_link = self.prioritizer.comp_link
-        self.plant_pos = self.index.plant_idx
-        self.plant_ids = list(net.plants)
+        self.index = idx = net.index
+        self.road_index = rix = RoadIndex(roads)
+
+        link_pos = {lid: i for i, lid in enumerate(rix.link_ids)}
+        comps = [net.components[cid] for cid in idx.ids]
+        self.comp_link = np.array(
+            [link_pos[c.nearest_road_link] for c in comps], dtype=np.intp
+        )
+        locations = np.array([c.location for c in comps], dtype=float)
+        self.comp_node = crew_road_nodes(rix, self.comp_link, locations)
+        self.hh_attach = np.array(
+            [idx.pos[hh.attachment] for hh in households], dtype=np.intp
+        )
+        self.light_feed = np.array(
+            [idx.pos[tl.feed_component] for tl in roads.traffic_lights.values()],
+            dtype=np.intp,
+        )
+        self.plant_pos = idx.plant_idx
+        self.plant_node = self.comp_node[self.plant_pos]
+        self.prioritizer = Prioritizer(
+            net, rix, self.comp_node, self.hh_attach, self.light_feed
+        )
 
 
 def run_replication(
@@ -137,7 +152,7 @@ def run_replication(
         return np.random.default_rng([seed, _STREAM_REPAIR, c])
 
     depth = initial_flood(scenario, roads.link_ids)
-    fuel_nodes = resolve_fuel_nodes(net, roads, scenario, ctx.road_index)
+    fuel_node = resolve_fuel_nodes(net, scenario, ctx.road_index, ctx.plant_node)
 
     failed = sample_failures(net, scenario, fragility, failure_rng)
     specs = {}
@@ -161,15 +176,12 @@ def run_replication(
     q_hh = q_tl = 0.0
     hh_powered = np.zeros(len(households), dtype=bool)
     light_powered = np.zeros(len(ctx.light_feed), dtype=bool)
-    fuel_ok: dict[str, bool] = {}
+    fueled = np.zeros(len(ctx.plant_pos), dtype=bool)
     last_passable = -1
 
     def remeasure() -> None:
         nonlocal q_hh, q_tl, hh_powered, light_powered
-        live_plants = np.array(
-            [p for p in ctx.plant_pos if fuel_ok[ids[p]]], dtype=np.intp
-        )
-        powered = idx.powered_mask(alive, live_plants)
+        powered = idx.powered_mask(alive, ctx.plant_pos[fueled])
         hh_powered = powered[ctx.hh_attach]
         light_powered = powered[ctx.light_feed]
         q_hh = float(hh_powered.mean()) if hh_powered.size else 1.0
@@ -191,19 +203,13 @@ def run_replication(
 
         fuel_changed = False
         if hour == 0 or (passable_changed and scenario.fuel_dependence):
-            new_fuel = {
-                pid: fuel_route_available(
-                    net.components[pid], net, roads, passable, scenario,
-                    ctx.road_index, fuel_nodes,
-                )
-                for pid in ctx.plant_ids
-            }
-            fuel_changed = new_fuel != fuel_ok
-            if fuel_changed:
-                for pid, ok in new_fuel.items():
-                    if ok and not fuel_ok.get(pid, False):
-                        events.append((hour, "fuel_restored", pid))
-                fuel_ok = new_fuel
+            now_fueled = fuel_reachable(
+                ctx.road_index, fuel_node, ctx.plant_node, passable, scenario
+            )
+            for p in np.flatnonzero(now_fueled & ~fueled):
+                events.append((hour, "fuel_restored", ids[ctx.plant_pos[p]]))
+            fuel_changed = not np.array_equal(now_fueled, fueled)
+            fueled = now_fueled
 
         if hour == 0 or completed or fuel_changed:
             remeasure()

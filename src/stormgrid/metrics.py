@@ -34,13 +34,6 @@ def resilience_loss(q: np.ndarray) -> float:
     return total
 
 
-def max_possible_resilience(horizon_hours: float) -> float:
-    """Baseline resilience over the horizon: quality 1 integrated over it."""
-    if horizon_hours <= 0:
-        raise ValueError("horizon must be > 0 hours")
-    return float(horizon_hours)
-
-
 def improvement_pct(loss_strategy: float, loss_baseline: float) -> float:
     """Relative reduction in resilience loss versus the baseline strategy."""
     if loss_baseline == 0:

@@ -83,15 +83,11 @@ class RoadNetwork:
     links: dict[str, RoadLink]
     intersections: dict[str, tuple[float, float]]
     traffic_lights: dict[str, TrafficLight]
-    _link_ids: list[str] = field(default_factory=list, repr=False)
+    # Link ids in file order: the position of every per-link array.
+    link_ids: list[str] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._link_ids:
-            self._link_ids = list(self.links)
-
-    @property
-    def link_ids(self) -> list[str]:
-        return self._link_ids
+        self.link_ids = list(self.links)
 
 
 @dataclass
@@ -99,9 +95,6 @@ class PowerNetwork:
     components: dict[str, PowerComponent]
     edges: list[tuple[str, str]]
     plants: list[str]
-    # household id -> distribution component id (kept alongside Household
-    # objects so connectivity queries do not need the household list)
-    household_attachments: dict[str, str]
     # plant id -> road intersection id where fuel enters the road network
     fuel_source: dict[str, str]
     _index: "PowerIndex | None" = field(default=None, repr=False)
@@ -391,17 +384,17 @@ def load_networks(
 
     coupling_path = Path(coupling_file)
     households: list[Household] = []
-    attachments: dict[str, str] = {}
+    seen: set[str] = set()
     for hid, x, y, comp, line_no in hh_records:
         if comp not in components:
             raise DanglingReferenceError(
                 comp,
                 f"household {hid} at {coupling_path}:{line_no} attaches to a missing component",
             )
-        if hid in attachments:
+        if hid in seen:
             raise FormatError(coupling_path, line_no, f"duplicate household id {hid!r}")
         households.append(Household(id=hid, location=(x, y), attachment=comp))
-        attachments[hid] = comp
+        seen.add(hid)
 
     for lid, inter, comp, line_no in light_records:
         if inter not in roads.intersections:
@@ -439,7 +432,6 @@ def load_networks(
         components=components,
         edges=edges,
         plants=plants,
-        household_attachments=attachments,
         fuel_source=fuel_source,
     )
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import ExperimentResult, MonteCarloResult
-from .errors import StormGridError
+from .errors import FormatError, StormGridError
 from .metrics import (
     DEFAULT_QUANTILE_LEVELS,
     ResilienceSummary,
@@ -148,12 +148,50 @@ def emit_outputs(experiment: ExperimentResult, out_dir: str | Path) -> list[Path
     return written
 
 
+_QUALITY_COLUMNS = ("replication", "hour", "q_households", "q_traffic_lights")
+
+
+def _read_quality(path: Path) -> dict[int, list[tuple[float, float]]]:
+    """Per replication, its (q_households, q_traffic_lights) rows by hour."""
+    by_rep: dict[int, list[tuple[float, float]]] = {}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or ()
+            missing = [c for c in _QUALITY_COLUMNS if c not in header]
+            if missing:
+                raise FormatError(path, 1, f"missing columns {missing}")
+            for row in reader:
+                try:
+                    rep, hour = int(row["replication"]), int(row["hour"])
+                    q = float(row["q_households"]), float(row["q_traffic_lights"])
+                except (TypeError, ValueError) as exc:
+                    line = reader.line_num
+                    raise FormatError(path, line, f"bad value: {exc}") from None
+                series = by_rep.setdefault(rep, [])
+                if hour != len(series):
+                    raise FormatError(
+                        path, reader.line_num,
+                        f"replication {rep}: expected hour {len(series)}, got {hour}",
+                    )
+                series.append(q)
+    except OSError as exc:
+        raise StormGridError(f"cannot read timeseries {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, 0, f"not UTF-8 text: {exc.reason}") from None
+    if not by_rep:
+        raise StormGridError(f"no rows in {path}")
+    return by_rep
+
+
 def plot_data(inputs: list[str | Path], out_path: str | Path) -> Path:
     """Reshape timeseries CSVs into per-strategy mean quality curves.
 
     Each input contributes two columns (mean household and traffic-light
     quality by hour), averaged over its replications; finished replications
-    are held at quality 1.0 out to the longest horizon in that file.
+    are held at quality 1.0 out to the longest horizon in that file. Each
+    replication's rows must run from hour 0 in steps of one, as
+    :func:`write_timeseries` writes them.
     """
     columns: dict[str, list[float]] = {}
     labels: list[str] = []
@@ -165,29 +203,14 @@ def plot_data(inputs: list[str | Path], out_path: str | Path) -> Path:
             label = label[len("timeseries_"):]
         elif label == "timeseries":
             label = "run"
-        by_rep: dict[int, dict[int, tuple[float, float]]] = {}
-        try:
-            with open(path) as fh:
-                reader = csv.DictReader(fh)
-                for row in reader:
-                    rep = int(row["replication"])
-                    hour = int(row["hour"])
-                    by_rep.setdefault(rep, {})[hour] = (
-                        float(row["q_households"]),
-                        float(row["q_traffic_lights"]),
-                    )
-        except OSError as exc:
-            raise StormGridError(f"cannot read timeseries {path}: {exc}") from exc
-        if not by_rep:
-            raise StormGridError(f"no rows in {path}")
-        horizon = max(max(hours) for hours in by_rep.values())
+        by_rep = _read_quality(path)
+        horizon = max(len(series) for series in by_rep.values()) - 1
         max_hours = max(max_hours, horizon)
-        tops = {rep: max(series) for rep, series in by_rep.items()}
         hh_cols, tl_cols = [], []
         for hour in range(horizon + 1):
             hh_vals, tl_vals = [], []
-            for rep, series in by_rep.items():
-                q_hh, q_tl = (1.0, 1.0) if hour > tops[rep] else series[hour]
+            for series in by_rep.values():
+                q_hh, q_tl = series[hour] if hour < len(series) else (1.0, 1.0)
                 hh_vals.append(q_hh)
                 tl_vals.append(q_tl)
             hh_cols.append(float(np.mean(hh_vals)))

@@ -30,7 +30,10 @@ rejects such a failure draw at hour 0. Jobs are non-preemptive.
 Both steps work on component positions in the power network index: the
 priority list is an array of positions, crew access reads this hour's
 passable mask at each component's nearest road link, and a job's crews and
-duration come from its component's repair spec, resolved at hour 0.
+duration come from its component's repair spec, resolved at hour 0. The
+road links, crew road nodes and household and light attachments are the
+simulation context's position arrays; nothing here reads them off the
+network objects.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .coupling import RoadIndex, component_accessible, component_road_node
+from .coupling import RoadIndex, component_accessible
 from .fragility import RepairSpec, sample_repair
 from .hazard import HazardScenario
-from .network import ComponentKind, Household, PowerNetwork, RoadNetwork
+from .network import ComponentKind, PowerNetwork
 
 
 class Strategy(enum.Enum):
@@ -101,41 +104,30 @@ class Prioritizer:
     """Strategy orderings over pending components, as ranked blocks.
 
     A block pairs a tier mask over the pending components with one key per
-    component. The static inputs of the keys are built once: the id rank,
-    the substation of each household and light, and the component x light
-    incidence of the lights' feed paths. Next to each component's crew road
-    node (``comp_node``) sits the position of its nearest road link
-    (``comp_link``), which gates crew access. Road distances are measured over
-    the currently passable subgraph (a component cut off by floodwater sorts
-    last, mirroring the access gate) and cached per passable set, which
-    recurs across hours and replications.
+    component. The static inputs of the keys are built once from the
+    context's position arrays: the id rank, the substation of each household
+    and light, and the component x light incidence of the lights' feed
+    paths. ``comp_node`` is each component's crew road node. Road distances
+    are measured from it over the currently passable subgraph (a component
+    cut off by floodwater sorts last, mirroring the access gate) and cached
+    per passable set, which recurs across hours and replications.
     """
 
     def __init__(
         self,
         net: PowerNetwork,
-        roads: RoadNetwork,
-        households: list[Household],
-        road_index: RoadIndex | None = None,
+        road_index: RoadIndex,
+        comp_node: np.ndarray,
+        hh_attach: np.ndarray,
+        light_feed: np.ndarray,
     ):
         self.index = net.index
-        self.road_index = road_index or RoadIndex(roads)
+        self.road_index = road_index
+        self.comp_node = comp_node
 
         idx = self.index
         n = len(idx.ids)
-        self.comp_node = np.array(
-            [
-                self.road_index.pos[component_road_node(net.components[cid], roads)]
-                for cid in idx.ids
-            ],
-            dtype=np.intp,
-        )
-        link_pos = {lid: i for i, lid in enumerate(roads.link_ids)}
-        self.comp_link = np.array(
-            [link_pos[net.components[cid].nearest_road_link] for cid in idx.ids],
-            dtype=np.intp,
-        )
-        self.plant_nodes = sorted({int(self.comp_node[i]) for i in idx.plant_idx})
+        self.plant_nodes = sorted({int(comp_node[i]) for i in idx.plant_idx})
         self.id_rank = np.empty(n, dtype=np.intp)
         self.id_rank[sorted(range(n), key=idx.ids.__getitem__)] = np.arange(n)
 
@@ -148,21 +140,14 @@ class Prioritizer:
             [k in (ComponentKind.POLE, ComponentKind.CONDUCTOR) for k in kinds]
         )
 
-        self.hh_attach = np.array(
-            [idx.pos[hh.attachment] for hh in households], dtype=np.intp
-        )
-        self.light_feed = np.array(
-            [idx.pos[tl.feed_component] for tl in roads.traffic_lights.values()],
-            dtype=np.intp,
-        )
         # Substation of each household and light; n stands for none.
         self.hh_sub, self.light_sub = (
             np.where(idx.substation_of[a] >= 0, idx.substation_of[a], n)
-            for a in (self.hh_attach, self.light_feed)
+            for a in (hh_attach, light_feed)
         )
         # Component x light incidence: the light's static feed path (its
         # feed component and the upstream chain) crosses the component.
-        paths = [idx.path_to_root(int(feed)) for feed in self.light_feed]
+        paths = [idx.path_to_root(int(feed)) for feed in light_feed]
         rows = [c for path in paths for c in path]
         cols = [li for li, path in enumerate(paths) for _ in path]
         self.light_paths = csr_matrix(
@@ -202,7 +187,8 @@ class Prioritizer:
         ``pending`` is a mask over components, ``passable`` this hour's mask
         over road links, ``hh_powered`` this hour's service mask over
         households (aligned with ``hh_attach``) and ``light_powered`` over
-        traffic lights (aligned with ``light_feed``).
+        traffic lights (aligned with ``light_feed``), both in the context's
+        order.
         """
         comps = np.flatnonzero(pending)
         n = len(pending)

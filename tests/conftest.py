@@ -36,7 +36,6 @@ def make_power(comps, edges, households=(), fuel=None):
         components=components,
         edges=[tuple(e) for e in edges],
         plants=[c.id for c in components.values() if c.kind is ComponentKind.PLANT],
-        household_attachments={h.id: h.attachment for h in hh},
         fuel_source=dict(fuel or {}),
     )
     return net, hh

@@ -5,8 +5,9 @@ reachability for connectivity, high-precision curve evaluation through
 mpmath for the fragility formulas, restoration orderings restated with
 Python ``sorted``, the scheduling walk restated over ids, and the closed
 form for the hour a flooded link reopens. They share no code with the
-package beyond the network index, the crew road node and the road distance
-query they take as inputs. The percentile bootstrap below is the statistic
+package beyond the network index and the road distance query they take as
+inputs. The scalar crew road node here is the reference for the package's
+vectorised one. The percentile bootstrap below is the statistic
 the acceptance criteria use to compare strategies; the package needs no
 bootstrap of its own.
 """
@@ -17,7 +18,6 @@ from collections import Counter, deque
 import mpmath as mp
 import numpy as np
 
-from stormgrid.coupling import component_road_node
 from stormgrid.errors import ConfigError
 
 mp.mp.dps = 40
@@ -72,6 +72,44 @@ def mp_lognormal_cdf(x, median, sigma):
     if x <= 0:
         return mp.mpf(0)
     return mp.ncdf((mp.log(x) - mp.log(median)) / mp.mpf(sigma))
+
+
+def component_road_node(component, roads):
+    """Road intersection id where crews reach the component.
+
+    The endpoint of the component's nearest road link that lies closer to the
+    component; ties go to the endpoint with the lower intersection id.
+    """
+    link = roads.links[component.nearest_road_link]
+    a, b = sorted(link.endpoints)
+    ax, ay = roads.intersections[a]
+    bx, by = roads.intersections[b]
+    cx, cy = component.location
+    da = (ax - cx) ** 2 + (ay - cy) ** 2
+    db = (bx - cx) ** 2 + (by - cy) ** 2
+    return a if da <= db else b
+
+
+def bfs_fuel_reachable(roads, passable, source, target):
+    """Is intersection ``target`` reachable from ``source`` over passable links?
+
+    ``passable`` maps link id -> bool.
+    """
+    adj = {}
+    for lid, link in roads.links.items():
+        if passable[lid]:
+            a, b = link.endpoints
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+    seen = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj.get(u, []):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return target in seen
 
 
 _TIER = {

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from stormgrid.cli import load_scenario, main, parse_cli
-from stormgrid.engine import MonteCarloConfig, SimulationContext, run_experiment
+from stormgrid.engine import (
+    MonteCarloConfig,
+    SimulationContext,
+    run_experiment,
+    run_replication,
+)
 from stormgrid.errors import ConfigError, FormatError
 from stormgrid.fragility import DEFAULT_LINE_CRITICAL_MPH
 from stormgrid.hazard import WindCell
@@ -463,9 +468,30 @@ class TestMainEndToEnd:
             ({"fuel_sources": {"GEN0": [1.0]}}, "fuel_sources"),
             ({"repair_overrides": {"pole": 5}}, "repair row 'pole'"),
             ({"fuel_dependence": "false"}, "fuel_dependence"),
+            ({"wind_mph": True}, "wind_mph"),
+            ({"wind_mph": {"cells": [[-1e6, -1e6, 1e6, 1e6, True]]}}, "wind_mph"),
+            ({"wind_mph": {"cells": [[-1e6, -1e6, 1e6, 1e6, "90"]]}}, "wind_mph"),
+            ({"drainage_in_per_hr": True}, "drainage_in_per_hr"),
+            ({"drainage_in_per_hr": "0.5"}, "drainage_in_per_hr"),
+            ({"passable_threshold_in": False}, "passable_threshold_in"),
+            ({"runoff_in": "12"}, "runoff_in"),
+            ({"runoff_in": {"per_link": {"L0": "3"}}}, "runoff_in"),
+            ({"line_fragility": [True, 134.2]}, "line_fragility"),
+            ({"substation_fragility": {
+                "moderate": ["160", 0.2], "severe": [200.0, 0.2],
+                "complete": [250.0, 0.2],
+            }}, "substation_fragility"),
+            ({"fuel_sources": {"GEN0": [True, 0]}}, "fuel_sources"),
+            ({"repair_overrides": {"pole": [6.0, 3.0, 2.7]}}, "repair row 'pole'"),
+            ({"repair_overrides": {"pole": [6.0, 3.0, True]}}, "repair row 'pole'"),
+            ({"repair_overrides": {"pole": [6.0, 3.0, "2"]}}, "repair row 'pole'"),
         ],
         ids=["runoff-string", "drainage-null", "line-one-value", "zero-median",
-             "fuel-source-one-coord", "repair-row-scalar", "flag-string"],
+             "fuel-source-one-coord", "repair-row-scalar", "flag-string",
+             "wind-bool", "wind-cell-bool", "wind-cell-string", "drainage-bool",
+             "drainage-string", "threshold-bool", "runoff-numeric-string",
+             "per-link-runoff-string", "line-bool", "median-string",
+             "fuel-source-bool", "crews-fraction", "crews-bool", "crews-string"],
     )
     def test_malformed_scenario_value_exits_2_before_networks(
         self, testbed_files, tmp_path, capsys, override, named
@@ -489,6 +515,27 @@ class TestMainEndToEnd:
         assert err.startswith("error:") and str(scenario) in err
         assert named in err and "bad_power.txt" not in err
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize(
+        "text,line,named",
+        [
+            (TIMESERIES_HEADER + "\n0,0,0.5,low,3,10\n", 2, "bad value"),
+            ("replication,hour,q_households,failed_components\n0,0,0.5,3\n", 1,
+             "q_traffic_lights"),
+            (TIMESERIES_HEADER + "\n0,0,0.5,0.5,3,10\n0,2,1.0,1.0,0,12\n", 3,
+             "expected hour 1"),
+            (TIMESERIES_HEADER + "\n0,0,0.5,\udcff,3,10\n", 0, "not UTF-8"),
+        ],
+        ids=["non-numeric", "missing-column", "hour-gap", "not-utf8"],
+    )
+    def test_plot_data_malformed_csv_exits_2(self, tmp_path, capsys, text, line, named):
+        path = tmp_path / "timeseries_distance.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        rc = main(["plot-data", str(path), "--out", str(tmp_path / "curves.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{path}:{line}:" in err and named in err
+        assert not (tmp_path / "curves.csv").exists()
 
     def test_scenario_checked_before_networks(self, testbed_files, tmp_path, capsys):
         power = tmp_path / "bad_power.txt"
@@ -559,12 +606,34 @@ class TestPinnedOutputs:
             "054a78604fde3df5261a92cb20ebafed3d33dbb80b72939ff9f320dac6b593b3",
     }
 
-    def test_small_testbed_outputs_unchanged(self, tmp_path):
-        files = generate_testbed(
+    # One traffic-light replication (seed 0) on the same testbed: its
+    # events as JSON. The uniform 12 in runoff restores fuel at hour 16.
+    EVENTS_DIGEST = "a920b1ee7265500993f8ef7d03100e001f086e5e9dfb49ee46b4c6d75ba67bec"
+
+    @staticmethod
+    def _testbed(tmp_path):
+        return generate_testbed(
             TestbedParams(grid_size=6, households=150, substations=2, seed=3,
                           wind_mph=95.0),
             tmp_path / "tb",
         )
+
+    def test_small_testbed_events_unchanged(self, tmp_path):
+        files = self._testbed(tmp_path)
+        net, roads, hh = load_networks(
+            files["power"], files["roads"], files["couplings"]
+        )
+        cfg = load_scenario(files["scenario"])
+        res = run_replication(
+            net, roads, hh, cfg.hazard, cfg.fragility, cfg.repair,
+            Strategy.TRAFFIC_LIGHT_BASED, 8, 0,
+        )
+        assert (16, "fuel_restored", "GEN0") in res.events
+        actual = hashlib.sha256(json.dumps(res.events).encode()).hexdigest()
+        assert actual == self.EVENTS_DIGEST
+
+    def test_small_testbed_outputs_unchanged(self, tmp_path):
+        files = self._testbed(tmp_path)
         rc = main([
             "simulate",
             "--power", str(files["power"]),

@@ -18,7 +18,6 @@ from stormgrid.metrics import (
     ResilienceSummary,
     full_restoration_hour,
     improvement_pct,
-    max_possible_resilience,
     normal_ci_halfwidth,
     resilience_loss,
     restoration_quantiles,
@@ -46,7 +45,6 @@ class TestResilienceLoss:
         values = [0.0] * 174 + [1.0]
         s = series(values)
         assert resilience_loss(s) == pytest.approx(174.0)
-        assert resilience_loss(s) == pytest.approx(max_possible_resilience(174))
 
     def test_loss_bounded_by_horizon(self):
         rng = np.random.default_rng(2)
@@ -69,17 +67,6 @@ class TestResilienceLoss:
             assert resilience_loss(series(list(lifted))) <= resilience_loss(
                 series(list(base))
             ) + 1e-12
-
-
-class TestMpr:
-    def test_reference_horizons(self):
-        assert max_possible_resilience(174) == 174.0
-        assert max_possible_resilience(456) == 456.0
-        assert max_possible_resilience(1) == 1.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            max_possible_resilience(0)
 
 
 class TestImprovement:

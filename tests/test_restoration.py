@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormgrid.coupling import RoadIndex
-from stormgrid.engine import run_replication
+from stormgrid.engine import SimulationContext, run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell, initial_flood, passable_mask
 from stormgrid.network import (
@@ -20,7 +19,6 @@ from stormgrid.network import (
 )
 from stormgrid.restoration import (
     CrewPool,
-    Prioritizer,
     RestorationState,
     Strategy,
     complete_due_jobs,
@@ -71,26 +69,26 @@ def pending_mask(net, ids):
     return mask
 
 
-def service_masks(prio, net, down):
+def service_masks(ctx, net, down):
     """Household and light service masks with the ``down`` ids not conducting."""
     idx = net.index
     alive = np.ones(len(idx.ids), dtype=bool)
     alive[[idx.pos[c] for c in down]] = False
     powered = idx.powered_mask(alive)
-    return powered[prio.hh_attach], powered[prio.light_feed]
+    return powered[ctx.hh_attach], powered[ctx.light_feed]
 
 
 def order_of(strategy, failed, net, roads, hh, flood=None, sc=None, rng=None):
     """Repair order of the ``failed`` ids, as ids."""
-    prio = Prioritizer(net, roads, hh)
+    ctx = SimulationContext(net, roads, hh)
     sc = sc or HazardScenario()
     depth = initial_flood(sc, roads.link_ids) if flood is None else flood
-    order = prio.order(
+    order = ctx.prioritizer.order(
         strategy,
         pending_mask(net, failed),
         passable_mask(depth, sc),
         rng if rng is not None else np.random.default_rng(0),
-        *service_masks(prio, net, failed),
+        *service_masks(ctx, net, failed),
     )
     return [net.index.ids[c] for c in order]
 
@@ -194,14 +192,14 @@ def small_testbed(tmp_path_factory):
         tmp_path_factory.mktemp("tb_order"),
     )
     net, roads, hh = load_networks(files["power"], files["roads"], files["couplings"])
-    return net, roads, hh, Prioritizer(net, roads, hh), RoadIndex(roads)
+    return net, roads, hh, SimulationContext(net, roads, hh)
 
 
 class TestOrderMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_sorted_reference(self, small_testbed, data):
-        net, roads, hh, prio, road_index = small_testbed
+        net, roads, hh, ctx = small_testbed
         repairable = [
             cid for cid, c in net.components.items()
             if c.kind is not ComponentKind.PLANT
@@ -211,7 +209,7 @@ class TestOrderMatchesReference:
             data.draw(st.lists(st.booleans(), min_size=len(hh), max_size=len(hh))),
             dtype=bool,
         )
-        n_lights = len(prio.light_feed)
+        n_lights = len(ctx.light_feed)
         light_powered = np.array(
             data.draw(st.lists(st.booleans(), min_size=n_lights, max_size=n_lights)),
             dtype=bool,
@@ -226,12 +224,12 @@ class TestOrderMatchesReference:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
         passable = np.array(depths) <= HazardScenario().passable_threshold_in
-        got = prio.order(
+        got = ctx.prioritizer.order(
             strategy, pending_mask(net, pending), passable,
             np.random.default_rng(seed), hh_powered, light_powered,
         )
         want = reference_order(
-            strategy.value, pending, net, roads, hh, road_index, passable,
+            strategy.value, pending, net, roads, hh, ctx.road_index, passable,
             np.random.default_rng(seed), hh_powered, light_powered,
         )
         assert [net.index.ids[c] for c in got] == want
@@ -241,7 +239,7 @@ class TestWalkMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_starts_match_reference_walk(self, small_testbed, data):
-        net, roads, hh, prio, _ = small_testbed
+        net, roads, hh, ctx = small_testbed
         ids = net.index.ids
         # multi-crew jobs are few on this testbed; draw them on their own so
         # that crew-starved holds come up often
@@ -275,14 +273,14 @@ class TestWalkMatchesReference:
         strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
 
         passable = passable_mask(np.array(depths), sc)
-        order = prio.order(
+        order = ctx.prioritizer.order(
             strategy, pending_mask(net, pending), passable,
             np.random.default_rng(0), np.zeros(len(hh), dtype=bool),
-            np.zeros(len(prio.light_feed), dtype=bool),
+            np.zeros(len(ctx.light_feed), dtype=bool),
         )
         state = RestorationState(pool=CrewPool(total=60, available=available))
         started = start_pending_jobs(
-            state, order, specs, prio.comp_link, passable, sc, 0,
+            state, order, specs, ctx.comp_link, passable, sc, 0,
             np.random.default_rng,
         )
         want = reference_walk(
@@ -336,7 +334,7 @@ class Crews:
     def __init__(self, net, roads, hh, failed, teams, flood, sc):
         self.net, self.sc = net, sc
         self.passable = passable_mask(flood, sc)
-        self.prio = Prioritizer(net, roads, hh)
+        self.ctx = SimulationContext(net, roads, hh)
         self.pending = set(failed)
         model, comps = RepairModel(), net.components
         self.specs = {
@@ -354,12 +352,12 @@ class Crews:
         ids = self.net.index.ids
         completed = [ids[c] for c in complete_due_jobs(self.state, hour)]
         down = self.pending | set(self.ids_of(self.state.active))
-        order = self.prio.order(
+        order = self.ctx.prioritizer.order(
             strategy, pending_mask(self.net, self.pending), self.passable, rng,
-            *service_masks(self.prio, self.net, down),
+            *service_masks(self.ctx, self.net, down),
         )
         started = start_pending_jobs(
-            self.state, order, self.specs, self.prio.comp_link, self.passable,
+            self.state, order, self.specs, self.ctx.comp_link, self.passable,
             self.sc, hour, duration_rng or (lambda c: rng),
         )
         self.pending -= set(self.ids_of(started))
