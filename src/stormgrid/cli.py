@@ -144,10 +144,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     """
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, 0, f"not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
 

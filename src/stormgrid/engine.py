@@ -12,8 +12,9 @@ is rejected at hour 0, since that job could never start.
 
 After the hour-0 draw a replication works only with component positions
 and masks it owns: a conducting mask over components, a mask of pending
-(failed, not yet started) components, each failed component's repair spec,
-the active job list, a fueled mask over plants, and the flood depths with
+(failed, not yet started) components, the job table (each failed
+component's crews and repair duration, both drawn at hour 0, and when its
+running job completes), a fueled mask over plants, and the flood depths with
 one passable mask per hour over road links. The draw itself writes only
 substation damage levels onto the shared component objects; ids reappear
 only in the events, the initial failure list and the hour-cap error.
@@ -40,9 +41,8 @@ from .hazard import HazardScenario, drain_step, initial_flood, passable_mask
 from .metrics import full_restoration_hour, normal_ci_halfwidth
 from .network import Household, PowerNetwork, RoadNetwork
 from .restoration import (
-    CrewPool,
+    JobTable,
     Prioritizer,
-    RestorationState,
     Strategy,
     complete_due_jobs,
     start_pending_jobs,
@@ -141,6 +141,8 @@ def run_replication(
     context: SimulationContext | None = None,
 ) -> ReplicationResult:
     """One seeded end-to-end replication; deterministic given (seed, config)."""
+    if teams < 1:
+        raise ConfigError(f"need at least one restoration team, got {teams}")
     ctx = context or SimulationContext(net, roads, households)
     idx = ctx.index
     ids = idx.ids
@@ -148,14 +150,11 @@ def run_replication(
     failure_rng = np.random.default_rng([seed, _STREAM_FAILURES])
     schedule_rng = np.random.default_rng([seed, _STREAM_SCHEDULING])
 
-    def duration_rng(c: int) -> np.random.Generator:
-        return np.random.default_rng([seed, _STREAM_REPAIR, c])
-
     depth = initial_flood(scenario, roads.link_ids)
     fuel_node = resolve_fuel_nodes(net, scenario, ctx.road_index, ctx.plant_node)
 
     failed = sample_failures(net, scenario, fragility, failure_rng)
-    specs = {}
+    jobs = JobTable(len(ids), teams)
     for cid in failed:
         comp = net.components[cid]
         spec = repair_model.spec_for(comp.kind, comp.damage_level)
@@ -164,12 +163,11 @@ def run_replication(
                 f"failed component {cid} needs {spec.crews} crews but the pool has "
                 f"{teams} teams, so its job could never start (seed {seed})"
             )
-        specs[idx.pos[cid]] = spec
-    pending = np.zeros(len(ids), dtype=bool)
-    pending[list(specs)] = True
+        c = idx.pos[cid]
+        jobs.add(c, spec, np.random.default_rng([seed, _STREAM_REPAIR, c]))
+    pending = jobs.crews > 0
     alive = ~pending
 
-    state = RestorationState(pool=CrewPool(total=teams))
     events: list[tuple[int, str, str]] = [(0, "failed", cid) for cid in failed]
     rows: list[tuple] = []
 
@@ -191,9 +189,9 @@ def run_replication(
         if hour > 0:
             depth = drain_step(depth, scenario)
 
-        completed = complete_due_jobs(state, hour) if hour > 0 else []
-        for c in completed:
-            alive[c] = True
+        completed = complete_due_jobs(jobs, hour)
+        alive[completed] = True
+        for c in completed.tolist():
             events.append((hour, "repaired", ids[c]))
 
         passable = passable_mask(depth, scenario)
@@ -211,11 +209,11 @@ def run_replication(
             fuel_changed = not np.array_equal(now_fueled, fueled)
             fueled = now_fueled
 
-        if hour == 0 or completed or fuel_changed:
+        if hour == 0 or completed.size or fuel_changed:
             remeasure()
 
-        if pending.any() and state.pool.available > 0 and (
-            hour == 0 or completed or passable_changed
+        if pending.any() and jobs.free > 0 and (
+            hour == 0 or completed.size or passable_changed
         ):
             order = ctx.prioritizer.order(
                 strategy,
@@ -226,18 +224,18 @@ def run_replication(
                 light_powered=light_powered,
             )
             started = start_pending_jobs(
-                state, order, specs, ctx.comp_link, passable, scenario, hour,
-                duration_rng,
+                jobs, order, ctx.comp_link, passable, scenario, hour
             )
-            for job in started:
-                pending[job.component] = False
-                events.append((hour, "job_started", ids[job.component]))
+            pending[started] = False
+            for c in started.tolist():
+                events.append((hour, "job_started", ids[c]))
 
         # Pending and under-repair components are exactly the dead ones.
         n_failed = len(ids) - int(np.count_nonzero(alive))
+        running = jobs.done_at > hour
         rows.append(
-            (hour, q_hh, q_tl, n_failed, n_passable, state.pool.available,
-             state.crews_in_use())
+            (hour, q_hh, q_tl, n_failed, n_passable, jobs.free,
+             int(jobs.crews[running].sum()))
         )
 
         if n_failed == 0 and q_hh >= 1.0:
@@ -247,7 +245,7 @@ def run_replication(
             hard_cap,
             {
                 "unrepaired": sorted(ids[c] for c in np.flatnonzero(pending))
-                + sorted(ids[j.component] for j in state.active),
+                + sorted(ids[c] for c in np.flatnonzero(running)),
                 "q_households": q_hh,
                 "passable_links": last_passable,
                 "strategy": strategy.value,

@@ -221,12 +221,15 @@ _KIND_BY_NAME = {k.value: k for k in ComponentKind}
 
 
 def _records(path: Path):
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield line_no, line.split()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                yield line_no, line.split()
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, 0, f"not UTF-8 text: {exc.reason}") from None
 
 
 def _parse_float(path, line_no, token, what):

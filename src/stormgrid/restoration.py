@@ -29,18 +29,17 @@ rejects such a failure draw at hour 0. Jobs are non-preemptive.
 
 Both steps work on component positions in the power network index: the
 priority list is an array of positions, crew access reads this hour's
-passable mask at each component's nearest road link, and a job's crews and
-duration come from its component's repair spec, resolved at hour 0. The
-road links, crew road nodes and household and light attachments are the
-simulation context's position arrays; nothing here reads them off the
-network objects.
+passable mask at each component's nearest road link, and the job table
+holds each failed component's crew demand and repair duration, both drawn
+at hour 0, with the hour its running job completes. The road links, crew
+road nodes and household and light attachments are the simulation
+context's position arrays; nothing here reads them off the network
+objects.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -63,41 +62,6 @@ class Strategy(enum.Enum):
                 return s
         valid = ", ".join(s.value for s in cls)
         raise ValueError(f"unknown strategy {name!r}; valid: {valid}")
-
-
-@dataclass
-class CrewPool:
-    total: int
-    available: int = -1
-
-    def __post_init__(self):
-        if self.total < 1:
-            raise ValueError("crew pool must have at least one team")
-        if self.available < 0:
-            self.available = self.total
-        if not (0 <= self.available <= self.total):
-            raise ValueError("available crews out of range")
-
-    def debit(self, crews: int) -> None:
-        if crews > self.available:
-            raise ValueError("crew pool overdrawn")
-        self.available -= crews
-
-    def credit(self, crews: int) -> None:
-        if self.available + crews > self.total:
-            raise ValueError("crew pool over-credited")
-        self.available += crews
-
-
-@dataclass
-class RepairJob:
-    component: int  # position in the power network index
-    start_hour: int
-    duration_hours: int
-    crews: int
-
-    def done_at(self) -> int:
-        return self.start_hour + self.duration_hours
 
 
 class Prioritizer:
@@ -229,70 +193,74 @@ class Prioritizer:
 # Scheduling
 
 
-DurationRng = Callable[[int], np.random.Generator]
+class JobTable:
+    """Repair jobs indexed by component position.
 
-
-@dataclass
-class RestorationState:
-    pool: CrewPool
-    active: list[RepairJob] = field(default_factory=list)
-
-    def crews_in_use(self) -> int:
-        return sum(job.crews for job in self.active)
-
-
-def complete_due_jobs(state: RestorationState, hour: int) -> list[int]:
-    """Finish jobs whose time has elapsed; credit their crews back.
-
-    Returns the positions of the repaired components.
+    ``crews`` and ``duration`` are each failed component's crew demand and
+    repair hours, both fixed at hour 0 (zero for intact components).
+    ``done_at`` is the hour a running job completes, -1 when no job runs;
+    ``seq`` numbers the jobs in the order they started; ``free`` counts the
+    crews on no job.
     """
-    done: list[int] = []
-    still: list[RepairJob] = []
-    for job in state.active:
-        if job.done_at() <= hour:
-            state.pool.credit(job.crews)
-            done.append(job.component)
-        else:
-            still.append(job)
-    state.active = still
+
+    def __init__(self, n: int, teams: int):
+        self.crews = np.zeros(n, dtype=np.int64)
+        self.duration = np.zeros(n, dtype=np.int64)
+        self.done_at = np.full(n, -1, dtype=np.int64)
+        self.seq = np.zeros(n, dtype=np.int64)
+        self.free = teams
+        self.n_started = 0
+
+    def add(self, c: int, spec: RepairSpec, rng: np.random.Generator) -> None:
+        """Fix a failed component's crew demand and draw its repair hours."""
+        self.crews[c] = spec.crews
+        self.duration[c] = sample_repair(spec, rng)
+
+
+def complete_due_jobs(jobs: JobTable, hour: int) -> np.ndarray:
+    """Finish the jobs due this hour and free their crews.
+
+    Returns the positions of the repaired components in start order.
+    """
+    done = np.flatnonzero(jobs.done_at == hour)
+    done = done[np.argsort(jobs.seq[done])]
+    jobs.done_at[done] = -1
+    jobs.free += int(jobs.crews[done].sum())
     return done
 
 
 def start_pending_jobs(
-    state: RestorationState,
+    jobs: JobTable,
     order: np.ndarray,
-    specs: dict[int, RepairSpec],
     comp_link: np.ndarray,
     passable: np.ndarray,
     scenario: HazardScenario,
     hour: int,
-    duration_rng: DurationRng,
-) -> list[RepairJob]:
+) -> np.ndarray:
     """Walk the priority list and start jobs in order while crews allow.
 
     ``order`` holds the positions of pending components only (none already
-    under repair), ``specs`` each failed component's repair spec by position,
-    ``comp_link`` each component's nearest road link and ``passable`` this
-    hour's mask over road links. The walk stops at the first accessible job
-    whose crew demand exceeds the free crews: that job holds every job
-    ranked below it until enough crews are free. A component whose road link
-    is impassable is skipped, so accessible work further down the list still
-    starts. Every job fits the whole pool; the engine rejects larger demands
-    at hour 0.
+    under repair), ``comp_link`` each component's nearest road link and
+    ``passable`` this hour's mask over road links. The walk stops at the
+    first accessible job whose crew demand exceeds the free crews: that job
+    holds every job ranked below it until enough crews are free. A component
+    whose road link is impassable is skipped, so accessible work further
+    down the list still starts. Every job fits the whole pool; the engine
+    rejects larger demands at hour 0. Returns the started positions in
+    start order.
     """
-    started: list[RepairJob] = []
-    pool = state.pool
-    for c in order.tolist():
+    started = []
+    free = jobs.free
+    for c, need in zip(order.tolist(), jobs.crews[order].tolist()):
         if not component_accessible(comp_link[c], passable, scenario):
             continue
-        spec = specs[c]
-        if spec.crews > pool.available:
+        if need > free:
             break
-        duration = sample_repair(spec, duration_rng(c))
-        pool.debit(spec.crews)
-        job = RepairJob(
-            component=c, start_hour=hour, duration_hours=duration, crews=spec.crews
-        )
-        state.active.append(job)
-        started.append(job)
+        free -= need
+        started.append(c)
+    started = np.array(started, dtype=np.intp)
+    jobs.free = free
+    jobs.done_at[started] = hour + jobs.duration[started]
+    jobs.seq[started] = jobs.n_started + np.arange(len(started))
+    jobs.n_started += len(started)
     return started

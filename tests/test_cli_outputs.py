@@ -516,6 +516,25 @@ class TestMainEndToEnd:
         assert named in err and "bad_power.txt" not in err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("bad", ["power", "scenario"])
+    def test_non_utf8_input_exits_2(self, testbed_files, tmp_path, capsys, bad):
+        files = dict(testbed_files)
+        files[bad] = tmp_path / testbed_files[bad].name
+        files[bad].write_bytes(testbed_files[bad].read_bytes() + b"\xff")
+        rc = main([
+            "simulate",
+            "--power", str(files["power"]),
+            "--roads", str(files["roads"]),
+            "--couplings", str(files["couplings"]),
+            "--scenario", str(files["scenario"]),
+            "--teams", "6",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{files[bad]}:0: not UTF-8" in err
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize(
         "text,line,named",
         [

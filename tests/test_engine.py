@@ -24,6 +24,7 @@ from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
 from .conftest import make_power, make_roads
+from .test_restoration import radial_net
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,15 @@ class TestScriptedChain:
         assert "LN" in res.initial_failures
         assert res.records[-1].q_households == 1.0
 
+    def test_empty_pool_rejected(self):
+        net, roads, hh = self._chain()
+        with pytest.raises(ConfigError, match="at least one restoration team"):
+            run_replication(
+                net, roads, hh, HazardScenario(wind_mph=0.0, initial_runoff_in=0.0),
+                FragilityConfig(), RepairModel(), Strategy.DISTANCE_BASED,
+                teams=0, seed=0,
+            )
+
 
 class TestHardCap:
     def test_unreachable_fuel_hits_cap(self):
@@ -205,6 +215,33 @@ class TestHardCap:
             )
         assert err.value.hour == 40
         assert err.value.snapshot["q_households"] == 0.0
+
+    def test_cap_snapshot_lists_pending_then_running(self):
+        # 160 mph east of the substation fails every conductor; one team
+        # works them off one at a time, so at the cap one job is running
+        # while the rest wait
+        net, roads, hh = radial_net(n_poles=6)
+        hazard = HazardScenario(
+            wind_mph=[
+                WindCell(-10, -10, 140, 10, 0.0),
+                WindCell(140, -10, 800, 10, 160.0),
+            ],
+            initial_runoff_in=0.0,
+        )
+        args = (net, roads, hh, hazard, FragilityConfig(), RepairModel(),
+                Strategy.COMPONENT_BASED)
+        full = run_replication(*args, teams=1, seed=0)
+        cap = 3
+        with pytest.raises(SimulationCapError) as err:
+            run_replication(*args, teams=1, seed=0, hard_cap=cap)
+        seen = {
+            kind: {cid for hour, k, cid in full.events if k == kind and hour <= cap}
+            for kind in ("failed", "job_started", "repaired")
+        }
+        pending = seen["failed"] - seen["job_started"]
+        running = seen["job_started"] - seen["repaired"]
+        assert len(running) == 1 and min(running) < max(pending)
+        assert err.value.snapshot["unrepaired"] == sorted(pending) + sorted(running)
 
 
 def fake_run_one(values):

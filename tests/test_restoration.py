@@ -18,8 +18,7 @@ from stormgrid.network import (
     load_networks,
 )
 from stormgrid.restoration import (
-    CrewPool,
-    RestorationState,
+    JobTable,
     Strategy,
     complete_due_jobs,
     start_pending_jobs,
@@ -254,14 +253,16 @@ class TestWalkMatchesReference:
             st.sets(st.sampled_from(small)), label="small"
         )
         model = RepairModel()
-        crews_by_id, specs = {}, {}
+        available = data.draw(st.integers(0, 20), label="available")
+        jobs = JobTable(len(ids), available)
+        crews_by_id = {}
         for cid in pending:
             kind = kinds[cid]
             level = None
             if kind is ComponentKind.SUBSTATION:
                 level = data.draw(st.sampled_from(list(DamageLevel)), label=cid)
             spec = model.spec_for(kind, level)
-            crews_by_id[cid], specs[net.index.pos[cid]] = spec.crews, spec
+            crews_by_id[cid] = jobs.crews[net.index.pos[cid]] = spec.crews
         n_links = len(roads.link_ids)
         depths = data.draw(
             st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, 12.0]),
@@ -269,7 +270,6 @@ class TestWalkMatchesReference:
             label="depths",
         )
         sc = HazardScenario(crew_access_dependence=data.draw(st.booleans()))
-        available = data.draw(st.integers(0, 20), label="available")
         strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
 
         passable = passable_mask(np.array(depths), sc)
@@ -278,45 +278,12 @@ class TestWalkMatchesReference:
             np.random.default_rng(0), np.zeros(len(hh), dtype=bool),
             np.zeros(len(ctx.light_feed), dtype=bool),
         )
-        state = RestorationState(pool=CrewPool(total=60, available=available))
-        started = start_pending_jobs(
-            state, order, specs, ctx.comp_link, passable, sc, 0,
-            np.random.default_rng,
-        )
+        started = start_pending_jobs(jobs, order, ctx.comp_link, passable, sc, 0)
         want = reference_walk(
             [ids[c] for c in order], net.components,
             dict(zip(roads.link_ids, depths)), sc, crews_by_id, available,
         )
-        assert [ids[j.component] for j in started] == want
-
-
-class TestCrewPool:
-    def test_defaults_full(self):
-        pool = CrewPool(total=10)
-        assert pool.available == 10
-
-    def test_debit_credit_roundtrip(self):
-        pool = CrewPool(total=10)
-        pool.debit(4)
-        assert pool.available == 6
-        pool.credit(4)
-        assert pool.available == 10
-
-    def test_overdraw_rejected(self):
-        pool = CrewPool(total=3)
-        with pytest.raises(ValueError):
-            pool.debit(4)
-
-    def test_overcredit_rejected(self):
-        pool = CrewPool(total=3)
-        with pytest.raises(ValueError):
-            pool.credit(1)
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            CrewPool(total=0)
-
-
+        assert [ids[c] for c in started] == want
 
 
 def dry_flood(roads):
@@ -327,8 +294,10 @@ def dry_flood(roads):
 class Crews:
     """The engine's hourly scheduling steps, with the pending set kept here.
 
-    Each tick completes due jobs, orders the pending components under this
-    hour's service masks, and starts what fits.
+    The job table is filled as the engine fills it at hour 0: each failed
+    component's crews and a drawn duration. Each tick completes due jobs,
+    orders the pending components under this hour's service masks, and
+    starts what fits.
     """
 
     def __init__(self, net, roads, hh, failed, teams, flood, sc):
@@ -337,29 +306,35 @@ class Crews:
         self.ctx = SimulationContext(net, roads, hh)
         self.pending = set(failed)
         model, comps = RepairModel(), net.components
-        self.specs = {
-            net.index.pos[c]: model.spec_for(comps[c].kind, comps[c].damage_level)
-            for c in failed
-        }
-        self.state = RestorationState(pool=CrewPool(total=teams))
+        self.jobs = JobTable(len(net.index.ids), teams)
+        rng = np.random.default_rng(0)
+        for c in failed:
+            spec = model.spec_for(comps[c].kind, comps[c].damage_level)
+            self.jobs.add(net.index.pos[c], spec, rng)
 
-    def ids_of(self, jobs):
-        return [self.net.index.ids[j.component] for j in jobs]
+    def ids_of(self, positions):
+        return [self.net.index.ids[c] for c in positions]
 
-    def tick(self, hour, rng=None, duration_rng=None,
-             strategy=Strategy.DISTANCE_BASED):
+    def running(self):
+        """Ids of the components under repair."""
+        return self.ids_of(np.flatnonzero(self.jobs.done_at >= 0))
+
+    def crews_in_use(self, hour):
+        jobs = self.jobs
+        return int(jobs.crews[jobs.done_at > hour].sum())
+
+    def tick(self, hour, rng=None, strategy=Strategy.DISTANCE_BASED):
+        """Completed ids and started positions, each in order."""
         rng = rng if rng is not None else np.random.default_rng(1)
-        ids = self.net.index.ids
-        completed = [ids[c] for c in complete_due_jobs(self.state, hour)]
-        down = self.pending | set(self.ids_of(self.state.active))
+        completed = self.ids_of(complete_due_jobs(self.jobs, hour))
+        down = self.pending | set(self.running())
         order = self.ctx.prioritizer.order(
             strategy, pending_mask(self.net, self.pending), self.passable, rng,
             *service_masks(self.ctx, self.net, down),
         )
         started = start_pending_jobs(
-            self.state, order, self.specs, self.ctx.comp_link, self.passable,
-            self.sc, hour, duration_rng or (lambda c: rng),
-        )
+            self.jobs, order, self.ctx.comp_link, self.passable, self.sc, hour
+        ).tolist()
         self.pending -= set(self.ids_of(started))
         return completed, started
 
@@ -372,17 +347,17 @@ class TestScheduling:
         failed = ["SUB", "PO0", "PO1"]
         net.components["SUB"].damage_level = DamageLevel.SEVERE
         crews = Crews(net, roads, hh, failed, 20, *dry_flood(roads))
-        crews.state.pool.debit(10)
+        crews.jobs.free -= 10
         _, started = crews.tick(hour=0)
         assert started == []
-        assert crews.state.pool.available == 10
+        assert crews.jobs.free == 10
         assert crews.pending == {"SUB", "PO0", "PO1"}
 
-        crews.state.pool.credit(4)  # fourteen teams free: the substation starts
+        crews.jobs.free += 4  # fourteen teams free: the substation starts
         _, started = crews.tick(hour=1)
         assert crews.ids_of(started) == ["SUB"]
-        assert started[0].crews == 14
-        assert crews.state.pool.available == 0
+        assert crews.jobs.crews[started[0]] == 14
+        assert crews.jobs.free == 0
         assert crews.pending == {"PO0", "PO1"}
 
     def test_flooded_top_job_does_not_hold(self):
@@ -396,7 +371,7 @@ class TestScheduling:
         sc = HazardScenario(initial_runoff_in={sub_link: 12.0}, runoff_default_in=0.0)
         flood = initial_flood(sc, roads.link_ids)
         crews = Crews(net, roads, hh, failed, 20, flood, sc)
-        crews.state.pool.debit(10)
+        crews.jobs.free -= 10
         _, started = crews.tick(hour=0)
         assert set(crews.ids_of(started)) == {"PO0", "PO1"}
         assert crews.pending == {"SUB"}
@@ -409,7 +384,7 @@ class TestScheduling:
         crews = Crews(net, roads, hh, failed, 10, flood, sc)
         _, started = crews.tick(hour=0)
         assert started == []
-        assert crews.state.pool.available == 10
+        assert crews.jobs.free == 10
 
     def test_access_toggle_off_ignores_flood(self):
         net, roads, hh = radial_net()
@@ -437,26 +412,40 @@ class TestScheduling:
         net, roads, hh = radial_net()
         failed = ["PO0"]
         crews = Crews(net, roads, hh, failed, 10, *dry_flood(roads))
+        po0 = net.index.pos["PO0"]
+        crews.jobs.duration[po0] = 5
 
-        class FixedRng:
-            def normal(self, mean, sd):
-                return 5.0
-
-        _, started = crews.tick(hour=5, duration_rng=lambda cid: FixedRng())
-        job = started[0]
-        assert (job.start_hour, job.duration_hours) == (5, 5)
-        assert crews.state.active == [job] and job.done_at() == 10
+        _, started = crews.tick(hour=5)
+        assert started == [po0]
+        assert crews.running() == ["PO0"] and crews.jobs.done_at[po0] == 10
         assert crews.pending == set()
-        assert crews.state.pool.available == 9
+        assert crews.jobs.free == 9
 
         completed, started = crews.tick(hour=9)
         assert completed == [] and started == []
-        assert crews.state.active == [job]
+        assert crews.running() == ["PO0"]
 
         completed, _ = crews.tick(hour=10)
-        assert completed == crews.ids_of([job]) == ["PO0"]
-        assert crews.state.active == []
-        assert crews.state.pool.available == 10
+        assert completed == ["PO0"]
+        assert crews.running() == []
+        assert crews.jobs.free == 10
+
+    def test_same_hour_completions_keep_start_order(self):
+        # two equal jobs started in one hour against their position order
+        # complete in the order they started, not in position order
+        net, roads, hh = radial_net()
+        crews = Crews(net, roads, hh, ["PO0", "PO1"], 10, *dry_flood(roads))
+        po0, po1 = net.index.pos["PO0"], net.index.pos["PO1"]
+        assert po0 < po1
+        crews.jobs.duration[[po0, po1]] = 3
+        started = start_pending_jobs(
+            crews.jobs, np.array([po1, po0]), crews.ctx.comp_link,
+            crews.passable, crews.sc, 2,
+        )
+        assert started.tolist() == [po1, po0]
+        assert complete_due_jobs(crews.jobs, 4).tolist() == []
+        assert complete_due_jobs(crews.jobs, 5).tolist() == [po1, po0]
+        assert crews.jobs.free == 10
 
     def test_crew_conservation_through_run(self):
         net, roads, hh = radial_net(n_poles=6)
@@ -469,9 +458,8 @@ class TestScheduling:
                 hour, rng=rng, strategy=Strategy.COMPONENT_BASED
             )
             repaired += completed
-            state = crews.state
-            assert state.pool.available + state.crews_in_use() == 3
-            if not crews.pending and not state.active:
+            assert crews.jobs.free + crews.crews_in_use(hour) == 3
+            if not crews.pending and not crews.running():
                 break
         else:
             pytest.fail("repairs did not finish in 200 hours")

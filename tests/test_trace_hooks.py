@@ -57,6 +57,7 @@ def test_tracer_counts_every_layer(monkeypatch):
     ]
     assert c["restoration.order_entries"] == c["restoration.entries_offered"] > 0
     assert c["restoration.order_calls"] > 0
+    assert c["restoration.complete_due_jobs_calls"] > 0
     assert c["coupling.labels_for_calls"] > 0
     assert c["network.powered_mask_calls"] > 0
     assert not hasattr(engine.run_replication, "__wrapped__")  # uninstalled
