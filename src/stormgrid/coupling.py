@@ -25,12 +25,8 @@ from .network import PowerNetwork, RoadNetwork
 
 
 class RoadIndex:
-    """Integer-indexed road graph with passability-keyed caches.
-
-    Passable subgraphs recur across hours and replications (drainage is
-    deterministic), so connectivity labels and distance fields are cached by
-    the passable-mask bytes.
-    """
+    """Integer-indexed road graph. Each query takes a mask over road links
+    and builds the passable subgraph afresh; nothing is cached here."""
 
     def __init__(self, roads: RoadNetwork):
         self.node_ids = list(roads.intersections)
@@ -45,7 +41,6 @@ class RoadIndex:
             self.lengths[i] = link.length_m
         self.link_ends = ends
         self.coords = np.array([roads.intersections[n] for n in self.node_ids])
-        self._label_cache: dict[bytes, np.ndarray] = {}
 
     def n_nodes(self) -> int:
         return len(self.node_ids)
@@ -63,12 +58,7 @@ class RoadIndex:
 
     def labels_for(self, passable: np.ndarray) -> np.ndarray:
         """Connected-component label per road node on the passable subgraph."""
-        key = passable.tobytes()
-        labels = self._label_cache.get(key)
-        if labels is None:
-            _, labels = connected_components(self.subgraph(passable), directed=False)
-            self._label_cache[key] = labels
-        return labels
+        return connected_components(self.subgraph(passable), directed=False)[1]
 
     def distances_from(self, sources: list[int], passable: np.ndarray) -> np.ndarray:
         """Min road distance from any source node, +inf where unreachable."""

@@ -1,23 +1,23 @@
 """Hourly simulation loop, replication driver, and Monte Carlo aggregation.
 
-Each replication: sample wind failures once at hour 0, then step hour by
-hour; floodwater drains, due repairs complete, grid connectivity and the two
-quality fractions are remeasured, and new repair jobs start under the chosen
-strategy, until every failed component is repaired and every household has
-power again. The replication's hourly state is one record array with a row
-per hour from hour 0, so a row's position is its hour and the
-``q_households`` and ``q_traffic_lights`` columns are the two Q(t) curves the
-metrics read. A failure draw containing a job larger than the whole crew pool
-is rejected at hour 0, since that job could never start.
+Each replication: decide when each road link turns passable and each plant
+regains fuel, sample wind failures once at hour 0, then step hour by hour;
+due repairs complete, service is remeasured and new repair jobs start under
+the chosen strategy, until every failed component is repaired and every
+household has power again, or the run can no longer change and stops with
+the hour-cap error. The hourly state is one record array with a row per
+hour from hour 0, so a row's position is its hour and the ``q_households``
+and ``q_traffic_lights`` columns are the two Q(t) curves the metrics read.
+A failure draw containing a job larger than the whole crew pool is rejected
+at hour 0, since that job could never start.
 
-After the hour-0 draw a replication works only with component positions
-and masks it owns: a conducting mask over components, a mask of pending
-(failed, not yet started) components, the job table (each failed
-component's crews and repair duration, both drawn at hour 0, and when its
-running job completes), a fueled mask over plants, and the flood depths with
-one passable mask per hour over road links. The draw itself writes only
-substation damage levels onto the shared component objects; ids reappear
-only in the events, the initial failure list and the hour-cap error.
+After the hour-0 draw a replication works only with positions and arrays it
+owns: a conducting mask over components, a mask of pending (failed, not yet
+started) components, the job table (crews and repair hours drawn at hour 0,
+and the running jobs), and the first passable hour of each road link and
+fueled hour of each plant. The draw itself writes only substation damage
+levels onto the shared component objects; ids reappear only in the events,
+the initial failure list and the hour-cap error.
 
 Seeding is layered so comparisons are paired: the failure draw comes from a
 substream of the replication seed that no strategy-dependent code touches,
@@ -127,6 +127,34 @@ class SimulationContext:
         )
 
 
+def road_schedule(
+    ctx: SimulationContext, scenario: HazardScenario, hard_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First hour each road link is passable and each plant has fuel, or
+    ``hard_cap + 1``. Floodwater only drains, so both hold from then on; the
+    depths drain with the hourly float operations, and fuel is checked only
+    at hours a link opens while some plant lacks it."""
+    fuel_node = resolve_fuel_nodes(ctx.net, scenario, ctx.road_index, ctx.plant_node)
+    never = hard_cap + 1
+    depth = initial_flood(scenario, ctx.road_index.link_ids)
+    link_from = np.full(len(depth), never)
+    plant_from = np.full(len(ctx.plant_node), never)
+    for hour in range(never):
+        if hour > 0:
+            depth = drain_step(depth, scenario)
+        opened = passable_mask(depth, scenario) & (link_from == never)
+        link_from[opened] = hour
+        unfueled = plant_from == never
+        if (hour == 0 or opened.any()) and unfueled.any():
+            fueled = fuel_reachable(
+                ctx.road_index, fuel_node, ctx.plant_node, link_from <= hour, scenario
+            )
+            plant_from[unfueled & fueled] = hour
+        if (link_from <= hour).all():
+            break
+    return link_from, plant_from
+
+
 def run_replication(
     net: PowerNetwork,
     roads: RoadNetwork,
@@ -150,8 +178,9 @@ def run_replication(
     failure_rng = np.random.default_rng([seed, _STREAM_FAILURES])
     schedule_rng = np.random.default_rng([seed, _STREAM_SCHEDULING])
 
-    depth = initial_flood(scenario, roads.link_ids)
-    fuel_node = resolve_fuel_nodes(net, scenario, ctx.road_index, ctx.plant_node)
+    link_from, plant_from = road_schedule(ctx, scenario, hard_cap)
+    # Fuel returns only at hours a link opens: no road change comes later.
+    roads_settled = int(link_from[link_from <= hard_cap].max(initial=0))
 
     failed = sample_failures(net, scenario, fragility, failure_rng)
     jobs = JobTable(len(ids), teams)
@@ -171,49 +200,27 @@ def run_replication(
     events: list[tuple[int, str, str]] = [(0, "failed", cid) for cid in failed]
     rows: list[tuple] = []
 
-    q_hh = q_tl = 0.0
-    hh_powered = np.zeros(len(households), dtype=bool)
-    light_powered = np.zeros(len(ctx.light_feed), dtype=bool)
-    fueled = np.zeros(len(ctx.plant_pos), dtype=bool)
-    last_passable = -1
-
-    def remeasure() -> None:
-        nonlocal q_hh, q_tl, hh_powered, light_powered
-        powered = idx.powered_mask(alive, ctx.plant_pos[fueled])
-        hh_powered = powered[ctx.hh_attach]
-        light_powered = powered[ctx.light_feed]
-        q_hh = float(hh_powered.mean()) if hh_powered.size else 1.0
-        q_tl = float(light_powered.mean()) if light_powered.size else 1.0
-
     for hour in range(hard_cap + 1):
-        if hour > 0:
-            depth = drain_step(depth, scenario)
-
         completed = complete_due_jobs(jobs, hour)
         alive[completed] = True
         for c in completed.tolist():
             events.append((hour, "repaired", ids[c]))
 
-        passable = passable_mask(depth, scenario)
+        passable = link_from <= hour
         n_passable = int(np.count_nonzero(passable))
-        passable_changed = n_passable != last_passable
-        last_passable = n_passable
 
-        fuel_changed = False
-        if hour == 0 or (passable_changed and scenario.fuel_dependence):
-            now_fueled = fuel_reachable(
-                ctx.road_index, fuel_node, ctx.plant_node, passable, scenario
-            )
-            for p in np.flatnonzero(now_fueled & ~fueled):
-                events.append((hour, "fuel_restored", ids[ctx.plant_pos[p]]))
-            fuel_changed = not np.array_equal(now_fueled, fueled)
-            fueled = now_fueled
+        restored = ctx.plant_pos[plant_from == hour]
+        events += [(hour, "fuel_restored", ids[c]) for c in restored.tolist()]
 
-        if hour == 0 or completed.size or fuel_changed:
-            remeasure()
+        if hour == 0 or completed.size or restored.size:
+            powered = idx.powered_mask(alive, ctx.plant_pos[plant_from <= hour])
+            hh_powered = powered[ctx.hh_attach]
+            light_powered = powered[ctx.light_feed]
+            q_hh = float(hh_powered.mean()) if hh_powered.size else 1.0
+            q_tl = float(light_powered.mean()) if light_powered.size else 1.0
 
         if pending.any() and jobs.free > 0 and (
-            hour == 0 or completed.size or passable_changed
+            hour == 0 or completed.size or (link_from == hour).any()
         ):
             order = ctx.prioritizer.order(
                 strategy,
@@ -232,26 +239,26 @@ def run_replication(
 
         # Pending and under-repair components are exactly the dead ones.
         n_failed = len(ids) - int(np.count_nonzero(alive))
-        running = jobs.done_at > hour
         rows.append(
             (hour, q_hh, q_tl, n_failed, n_passable, jobs.free,
-             int(jobs.crews[running].sum()))
+             int(jobs.crews[jobs.running].sum()))
         )
 
         if n_failed == 0 and q_hh >= 1.0:
             break
-    else:
-        raise SimulationCapError(
-            hard_cap,
-            {
-                "unrepaired": sorted(ids[c] for c in np.flatnonzero(pending))
-                + sorted(ids[c] for c in np.flatnonzero(running)),
-                "q_households": q_hh,
-                "passable_links": last_passable,
-                "strategy": strategy.value,
-                "seed": seed,
-            },
-        )
+        # Settled roads and no running job: nothing changes before the cap.
+        if hour == hard_cap or (hour >= roads_settled and not jobs.running.size):
+            raise SimulationCapError(
+                hard_cap,
+                {
+                    "unrepaired": sorted(ids[c] for c in np.flatnonzero(pending))
+                    + sorted(ids[c] for c in jobs.running),
+                    "q_households": q_hh,
+                    "passable_links": n_passable,
+                    "strategy": strategy.value,
+                    "seed": seed,
+                },
+            )
 
     return ReplicationResult(
         seed=seed,

@@ -378,8 +378,9 @@ def load_networks(
 
     Raises :class:`FormatError` with file/line context on malformed records,
     :class:`DanglingReferenceError` naming the offending id on unresolved
-    cross-references, and :class:`DisconnectedGridError` when a household
-    cannot reach a plant in the pristine network.
+    cross-references, and :class:`DisconnectedGridError` when a household or
+    a traffic light's feed component cannot reach a plant in the pristine
+    network.
     """
     components, edges = load_power_file(power_file)
     roads = load_road_file(road_file)
@@ -440,10 +441,12 @@ def load_networks(
 
     idx = net.index
     powered = idx.powered_mask(np.ones(len(idx.ids), dtype=bool))
-    for hh in households:
-        if not powered[idx.pos[hh.attachment]]:
+    lights = roads.traffic_lights.values()
+    for name, comp in [(f"household {hh.id}", hh.attachment) for hh in households] + [
+        (f"traffic light {tl.id}", tl.feed_component) for tl in lights
+    ]:
+        if not powered[idx.pos[comp]]:
             raise DisconnectedGridError(
-                f"household {hh.id} (attachment {hh.attachment}) cannot reach a plant "
-                "in the pristine network"
+                f"{name} (fed by {comp}) cannot reach a plant in the pristine network"
             )
     return net, roads, households

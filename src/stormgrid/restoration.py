@@ -31,10 +31,10 @@ Both steps work on component positions in the power network index: the
 priority list is an array of positions, crew access reads this hour's
 passable mask at each component's nearest road link, and the job table
 holds each failed component's crew demand and repair duration, both drawn
-at hour 0, with the hour its running job completes. The road links, crew
-road nodes and household and light attachments are the simulation
-context's position arrays; nothing here reads them off the network
-objects.
+at hour 0, with the running jobs in start order and the hour each
+completes. The road links, crew road nodes and household and light
+attachments are the simulation context's position arrays; nothing here
+reads them off the network objects.
 """
 
 from __future__ import annotations
@@ -198,18 +198,17 @@ class JobTable:
 
     ``crews`` and ``duration`` are each failed component's crew demand and
     repair hours, both fixed at hour 0 (zero for intact components).
-    ``done_at`` is the hour a running job completes, -1 when no job runs;
-    ``seq`` numbers the jobs in the order they started; ``free`` counts the
-    crews on no job.
+    ``running`` holds the positions of the components under repair in the
+    order their jobs started, and ``done_at`` the hour each started job
+    completes; ``free`` counts the crews on no job.
     """
 
     def __init__(self, n: int, teams: int):
         self.crews = np.zeros(n, dtype=np.int64)
         self.duration = np.zeros(n, dtype=np.int64)
         self.done_at = np.full(n, -1, dtype=np.int64)
-        self.seq = np.zeros(n, dtype=np.int64)
+        self.running = np.empty(0, dtype=np.intp)
         self.free = teams
-        self.n_started = 0
 
     def add(self, c: int, spec: RepairSpec, rng: np.random.Generator) -> None:
         """Fix a failed component's crew demand and draw its repair hours."""
@@ -222,9 +221,9 @@ def complete_due_jobs(jobs: JobTable, hour: int) -> np.ndarray:
 
     Returns the positions of the repaired components in start order.
     """
-    done = np.flatnonzero(jobs.done_at == hour)
-    done = done[np.argsort(jobs.seq[done])]
-    jobs.done_at[done] = -1
+    due = jobs.done_at[jobs.running] == hour
+    done = jobs.running[due]
+    jobs.running = jobs.running[~due]
     jobs.free += int(jobs.crews[done].sum())
     return done
 
@@ -261,6 +260,5 @@ def start_pending_jobs(
     started = np.array(started, dtype=np.intp)
     jobs.free = free
     jobs.done_at[started] = hour + jobs.duration[started]
-    jobs.seq[started] = jobs.n_started + np.arange(len(started))
-    jobs.n_started += len(started)
+    jobs.running = np.concatenate([jobs.running, started])
     return started

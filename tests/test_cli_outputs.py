@@ -574,6 +574,36 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert "bad_scenario.json" in err and "bad_power.txt" not in err
 
+    def test_light_without_plant_path_exits_2_before_simulating(
+        self, testbed_files, tmp_path, capsys
+    ):
+        # a pole with no edge feeds a new light: the light can never be
+        # powered, so Q for lights would never reach 1
+        power = tmp_path / "power.txt"
+        power.write_text(
+            testbed_files["power"].read_text() + "component ISO pole 3.0 3.0\n"
+        )
+        couplings = tmp_path / "couplings.txt"
+        couplings.write_text(
+            testbed_files["couplings"].read_text() + "light SGX I1-1 ISO\n"
+        )
+        rc = main([
+            "simulate",
+            "--power", str(power),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(couplings),
+            "--scenario", str(testbed_files["scenario"]),
+            "--teams", "6",
+            "--min-reps", "2",
+            "--max-reps", "2",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "traffic light SGX" in err
+        assert "ISO" in err and "cannot reach a plant" in err
+        assert not (tmp_path / "res").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main([
             "simulate", "--power", "missing.txt", "--roads", "missing.txt",

@@ -12,7 +12,7 @@ from stormgrid.coupling import (
     fuel_reachable,
     resolve_fuel_nodes,
 )
-from stormgrid.engine import SimulationContext, run_replication
+from stormgrid.engine import SimulationContext, road_schedule, run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, drain_step, initial_flood, passable_mask
 from stormgrid.metrics import full_restoration_hour
@@ -215,6 +215,85 @@ class TestPlantOperational:
             was_ok = ok
             flood = drain_step(flood, sc)
         assert was_ok
+
+
+def reference_schedule(net, roads, sc, hard_cap):
+    """First passable hour per link and first fueled hour per plant, found
+    by stepping the flood one hour at a time and asking the BFS oracle."""
+    never = hard_cap + 1
+    link_from = dict.fromkeys(roads.link_ids, never)
+    plant_from = dict.fromkeys(net.plants, never)
+    flood = initial_flood(sc, roads.link_ids)
+    for hour in range(hard_cap + 1):
+        if hour > 0:
+            flood = drain_step(flood, sc)
+        by_id = dict(zip(roads.link_ids, passable_mask(flood, sc).tolist()))
+        for lid, ok in by_id.items():
+            if ok and link_from[lid] == never:
+                link_from[lid] = hour
+        for plant in net.plants:
+            target = component_road_node(net.components[plant], roads)
+            source = net.fuel_source.get(plant, target)
+            fueled = not sc.fuel_dependence or bfs_fuel_reachable(
+                roads, by_id, source, target
+            )
+            if fueled and plant_from[plant] == never:
+                plant_from[plant] = hour
+    return list(link_from.values()), list(plant_from.values())
+
+
+class TestRoadSchedule:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from([0.25, 0.5, 0.65, 1.0]),
+        st.sampled_from([0.0, 2.0]),
+        st.integers(0, 40),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.integers(0, 300), st.integers(0, 300),
+                st.one_of(st.none(), st.integers(0, 17)),
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_matches_hourly_reference(
+        self, data, drainage, threshold, hard_cap, fuel_dependence, plants
+    ):
+        # a 4 x 4 grid plus one link on an island no grid road reaches;
+        # fuel node 16 or 17 puts a plant's fuel source on the island
+        grid = grid_roads()
+        roads = make_roads(
+            {**grid.intersections, "ISL_A": (900, 0), "ISL_B": (1000, 0)},
+            [(lk.id, *lk.endpoints, lk.length_m) for lk in grid.links.values()]
+            + [("ISL", "ISL_A", "ISL_B", 100)],
+        )
+        nodes = list(roads.intersections)
+        net, _ = make_power(
+            [(f"P{i}", "plant", x, y) for i, (x, y, _) in enumerate(plants)], [],
+            fuel={f"P{i}": nodes[f] for i, (_, _, f) in enumerate(plants)
+                  if f is not None},
+        )
+        assign_nearest_road_links(net.components, roads)
+        # whole drain steps above the threshold land on it exactly for the
+        # binary-exact drainage rates
+        depth = st.one_of(
+            st.floats(0.0, 30.0),
+            st.integers(0, 60).map(lambda k: threshold + k * drainage),
+        )
+        runoff = {lid: data.draw(depth) for lid in roads.link_ids}
+        sc = HazardScenario(
+            initial_runoff_in=runoff,
+            drainage_in_per_hr=drainage,
+            passable_threshold_in=threshold,
+            fuel_dependence=fuel_dependence,
+        )
+        ctx = SimulationContext(net, roads, [])
+        link_from, plant_from = road_schedule(ctx, sc, hard_cap)
+        assert (link_from.tolist(), plant_from.tolist()) == reference_schedule(
+            net, roads, sc, hard_cap
+        )
 
 
 def crew_nodes(comps, roads):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import stormgrid.engine as engine
 from stormgrid.cli import load_scenario
 from stormgrid.engine import (
     RECORD_DTYPE,
@@ -20,7 +21,7 @@ from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
 from stormgrid.metrics import full_restoration_hour, resilience_loss
 from stormgrid.network import assign_nearest_road_links, load_networks
-from stormgrid.restoration import Strategy
+from stormgrid.restoration import Strategy, complete_due_jobs
 from stormgrid.testbed import TestbedParams, generate_testbed
 
 from .conftest import make_power, make_roads
@@ -193,28 +194,52 @@ class TestScriptedChain:
             )
 
 
+def run_unreachable_fuel(**kwargs):
+    """A wind-free run whose only plant never gets fuel: the fuel source is
+    on a road island, so no household is ever powered."""
+    net, hh = make_power(
+        [("P", "plant", 0, 0), ("PA", "pole", 10, 0)],
+        [("P", "PA")],
+        households=["PA"],
+        fuel={"P": "ISLAND"},
+    )
+    roads = make_roads(
+        {"A": (0, 0), "B": (100, 0), "ISLAND": (900, 0), "FAR": (1000, 0)},
+        [("L1", "A", "B", 100), ("L2", "ISLAND", "FAR", 100)],
+    )
+    assign_nearest_road_links(net.components, roads)
+    hazard = HazardScenario(wind_mph=0.0, initial_runoff_in=0.0)
+    return run_replication(
+        net, roads, hh, hazard,
+        FragilityConfig(), RepairModel(), Strategy.DISTANCE_BASED,
+        teams=2, seed=0, **kwargs,
+    )
+
+
 class TestHardCap:
     def test_unreachable_fuel_hits_cap(self):
-        net, hh = make_power(
-            [("P", "plant", 0, 0), ("PA", "pole", 10, 0)],
-            [("P", "PA")],
-            households=["PA"],
-            fuel={"P": "ISLAND"},
-        )
-        roads = make_roads(
-            {"A": (0, 0), "B": (100, 0), "ISLAND": (900, 0), "FAR": (1000, 0)},
-            [("L1", "A", "B", 100), ("L2", "ISLAND", "FAR", 100)],
-        )
-        assign_nearest_road_links(net.components, roads)
-        hazard = HazardScenario(wind_mph=0.0, initial_runoff_in=0.0)
         with pytest.raises(SimulationCapError) as err:
-            run_replication(
-                net, roads, hh, hazard,
-                FragilityConfig(), RepairModel(), Strategy.DISTANCE_BASED,
-                teams=2, seed=0, hard_cap=40,
-            )
+            run_unreachable_fuel(hard_cap=40)
         assert err.value.hour == 40
         assert err.value.snapshot["q_households"] == 0.0
+
+    def test_frozen_run_raises_without_walking_to_cap(self, monkeypatch):
+        # nothing can change after hour 0, so the default cap is reported
+        # at once, with the snapshot a short cap gives
+        with pytest.raises(SimulationCapError) as short:
+            run_unreachable_fuel(hard_cap=40)
+        hours = []
+
+        def counted(jobs, hour):
+            hours.append(hour)
+            return complete_due_jobs(jobs, hour)
+
+        monkeypatch.setattr(engine, "complete_due_jobs", counted)
+        with pytest.raises(SimulationCapError) as err:
+            run_unreachable_fuel()
+        assert err.value.hour == 10_000
+        assert err.value.snapshot == short.value.snapshot
+        assert len(hours) <= 2
 
     def test_cap_snapshot_lists_pending_then_running(self):
         # 160 mph east of the substation fails every conductor; one team

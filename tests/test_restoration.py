@@ -316,12 +316,12 @@ class Crews:
         return [self.net.index.ids[c] for c in positions]
 
     def running(self):
-        """Ids of the components under repair."""
-        return self.ids_of(np.flatnonzero(self.jobs.done_at >= 0))
+        """Ids of the components under repair, in start order."""
+        return self.ids_of(self.jobs.running)
 
-    def crews_in_use(self, hour):
+    def crews_in_use(self):
         jobs = self.jobs
-        return int(jobs.crews[jobs.done_at > hour].sum())
+        return int(jobs.crews[jobs.running].sum())
 
     def tick(self, hour, rng=None, strategy=Strategy.DISTANCE_BASED):
         """Completed ids and started positions, each in order."""
@@ -458,7 +458,7 @@ class TestScheduling:
                 hour, rng=rng, strategy=Strategy.COMPONENT_BASED
             )
             repaired += completed
-            assert crews.jobs.free + crews.crews_in_use(hour) == 3
+            assert crews.jobs.free + crews.crews_in_use() == 3
             if not crews.pending and not crews.running():
                 break
         else:
