@@ -111,8 +111,7 @@ class SimulationContext:
         self.comp_link = np.array(
             [link_pos[c.nearest_road_link] for c in comps], dtype=np.intp
         )
-        locations = np.array([c.location for c in comps], dtype=float)
-        self.comp_node = crew_road_nodes(rix, self.comp_link, locations)
+        self.comp_node = crew_road_nodes(rix, self.comp_link, idx.location)
         self.hh_attach = np.array(
             [idx.pos[hh.attachment] for hh in households], dtype=np.intp
         )

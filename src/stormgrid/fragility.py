@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FragilityParamError, RepairModelError
 from .hazard import HazardScenario, wind_at
-from .network import ComponentKind, DamageLevel, PowerComponent, PowerNetwork
+from .network import KINDS, ComponentKind, DamageLevel, PowerNetwork
 
 #: m/s to mph conversion used for the transmission-line ramp defaults.
 MS_TO_MPH = 2.23694
@@ -240,10 +240,9 @@ def sample_repair(spec: RepairSpec, rng: np.random.Generator) -> int:
 
 
 def failure_probability(
-    component: PowerComponent, x: float, config: FragilityConfig
+    kind: ComponentKind, x: float, config: FragilityConfig
 ) -> float:
-    """Probability that the component fails at all at wind x (mph)."""
-    kind = component.kind
+    """Probability that a component of this kind fails at all at wind x (mph)."""
     if kind is ComponentKind.PLANT:
         return 0.0
     if kind is ComponentKind.SUBSTATION:
@@ -255,6 +254,26 @@ def failure_probability(
     if kind is ComponentKind.POLE:
         return p_fail_pole(x)
     return p_fail_conductor(x)
+
+
+def _component_winds(net: PowerNetwork, scenario: HazardScenario) -> np.ndarray:
+    """Wind (mph) at every component: the first cell containing it, bounds
+    inclusive. A non-plant component outside every cell raises the
+    :class:`ExtentError` of :func:`wind_at`; plants need no wind."""
+    idx = net.index
+    if isinstance(scenario.wind_mph, (int, float)):
+        return np.full(len(idx.ids), float(scenario.wind_mph))
+    x, y = idx.location.T
+    wind = np.full(len(idx.ids), np.nan)
+    for cell in reversed(scenario.wind_mph):  # earlier cells overwrite later
+        inside = (cell.x_min <= x) & (x <= cell.x_max)
+        inside &= (cell.y_min <= y) & (y <= cell.y_max)
+        wind[inside] = float(cell.mph)
+    outside = np.isnan(wind) & (idx.kind != KINDS.index(ComponentKind.PLANT))
+    if outside.any():
+        first = net.components[idx.ids[np.argmax(outside)]]
+        wind_at(scenario, first.location)  # raises: no cell holds it
+    return wind
 
 
 def sample_failures(
@@ -270,28 +289,33 @@ def sample_failures(
     most severe damage level whose exceedance probability beats the same r.
     One r is consumed per component (plants included) so the draw for a given
     component is identical across wind intensities under the same stream.
+    The curves are evaluated once per kind and distinct wind speed.
 
     Every substation's ``damage_level`` is set by each draw (``None`` when
     it survives); no other component is written.
 
     Returns the failed component ids in network order.
     """
-    comps = list(net.components.values())
-    draws = rng.random(len(comps))
-    failed: list[str] = []
-    for comp, r in zip(comps, draws):
-        if comp.kind is ComponentKind.PLANT:
+    idx = net.index
+    draws = rng.random(len(idx.ids))
+    wind = _component_winds(net, scenario)
+    failed = np.zeros(len(idx.ids), dtype=bool)
+    for code in np.unique(idx.kind).tolist():
+        kind = KINDS[code]
+        if kind is ComponentKind.PLANT:
             continue
-        x = wind_at(scenario, comp.location)
-        if comp.kind is ComponentKind.SUBSTATION:
-            probs = p_fail_substation(x, config.substation)
-            level = None
-            for lv in _LEVELS_BY_SEVERITY:
-                if probs[lv] > r:
-                    level = lv
-            comp.damage_level = level
-            if level is not None:
-                failed.append(comp.id)
-        elif failure_probability(comp, x, config) > r:
-            failed.append(comp.id)
-    return failed
+        members = np.flatnonzero(idx.kind == code)
+        winds, at = np.unique(wind[members], return_inverse=True)
+        r = draws[members]
+        if kind is ComponentKind.SUBSTATION:
+            probs = [p_fail_substation(w, config.substation) for w in winds.tolist()]
+            table = np.array([[p[lv] for lv in _LEVELS_BY_SEVERITY] for p in probs])
+            beats = table[at] > r[:, None]
+            failed[members] = beats.any(axis=1)
+            for c, row in zip(members.tolist(), beats.tolist()):
+                hits = [lv for lv, hit in zip(_LEVELS_BY_SEVERITY, row) if hit]
+                net.components[idx.ids[c]].damage_level = hits[-1] if hits else None
+        else:
+            p = [failure_probability(kind, w, config) for w in winds.tolist()]
+            failed[members] = np.array(p)[at] > r
+    return [idx.ids[c] for c in np.flatnonzero(failed)]

@@ -7,6 +7,13 @@ that conduct; the replication engine owns which components conduct each
 hour. Households and traffic lights hang off the grid through
 attachment/feeding component ids.
 
+The index numbers the breadth-first forest rooted at the plants in preorder,
+so every subtree is an interval. A radial grid, in which every edge among
+plant-reachable components is a forest edge, has one path from a component
+up to its plant, and service is read from those intervals with two
+``bincount`` calls; a meshed grid falls back to a connected-components
+search over the conducting subgraph.
+
 Network files are line-record text: one record per line, ``#`` comments,
 whitespace-separated typed columns (see README for the three schemas).
 """
@@ -111,18 +118,35 @@ class PowerNetwork:
             comp.damage_level = None
 
 
+#: Kind codes of ``PowerIndex.kind`` are positions in this tuple.
+KINDS = tuple(ComponentKind)
+
+
 class PowerIndex:
     """Integer-indexed static view of a power network for fast connectivity.
 
     Built once per network and never mutated. Which components conduct is
     per-replication state that the caller owns and passes in as a boolean
     mask per query.
+
+    Per component it holds the kind code (a position in ``KINDS``), the
+    location as an ``(n, 2)`` array, the parent in the breadth-first forest
+    rooted at the plants, and the preorder interval ``[tin, tout]`` of its
+    forest subtree: ``a`` is ``b`` or an ancestor of ``b`` exactly when
+    ``tin[a] <= tin[b] <= tout[a]``. Components no plant reaches are roots of
+    singleton intervals numbered after the reached ones. ``radial`` is read
+    from the data: it holds when every edge among reached components is a
+    forest edge, so a reached component has one path to a plant.
     """
 
     def __init__(self, net: PowerNetwork):
         self.ids = list(net.components)
         self.pos = {cid: i for i, cid in enumerate(self.ids)}
         n = len(self.ids)
+        code = {k: i for i, k in enumerate(KINDS)}
+        comps = net.components.values()
+        self.kind = np.array([code[c.kind] for c in comps], dtype=np.intp)
+        self.location = np.array([c.location for c in comps], dtype=float).reshape(n, 2)
         rows, cols = [], []
         for a, b in net.edges:
             ia, ib = self.pos[a], self.pos[b]
@@ -131,12 +155,15 @@ class PowerIndex:
         data = np.ones(len(rows), dtype=np.int8)
         self.adjacency = csr_matrix((data, (rows, cols)), shape=(n, n))
         self.plant_idx = np.array([self.pos[p] for p in net.plants], dtype=np.intp)
-        self._plant_set = frozenset(self.plant_idx.tolist())
         # BFS forest rooted at the plants over the pristine graph. Used for
-        # canonical upstream paths and per-substation service areas; for a
-        # radial grid the forest is the grid itself.
+        # upstream paths and per-substation service areas; for a radial grid
+        # the forest is the grid itself.
         self.parent, visit_order = self._bfs_forest(net)
-        self.substation_of = self._assign_substations(net, visit_order)
+        self.substation_of = self._assign_substations(visit_order)
+        self.tin, self.tout = self._preorder(visit_order)
+        self.reached = self.tin < len(visit_order)
+        edges_in_reach = sum(1 for a, _ in net.edges if self.reached[self.pos[a]])
+        self.radial = edges_in_reach == len(visit_order) - len(self.plant_idx)
 
     def _bfs_forest(self, net: PowerNetwork) -> tuple[np.ndarray, list[int]]:
         """Parent per component (-1 for roots and unreached) and BFS visit order."""
@@ -159,32 +186,48 @@ class PowerIndex:
                     order.append(v)
         return parent, order
 
-    def _assign_substations(
-        self, net: PowerNetwork, visit_order: list[int]
-    ) -> np.ndarray:
+    def _assign_substations(self, visit_order: list[int]) -> np.ndarray:
         """Nearest substation ancestor (by BFS forest) per component, -1 if none.
 
         ``visit_order`` puts every parent before its children. Components the
         BFS never reached have no forest children, so only their own kind
         decides their entry.
         """
-        is_sub = np.array(
-            [net.components[c].kind is ComponentKind.SUBSTATION for c in self.ids]
-        )
+        is_sub = self.kind == KINDS.index(ComponentKind.SUBSTATION)
         sub = np.where(is_sub, np.arange(len(self.ids)), -1).astype(np.intp)
         for u in visit_order:
             if not is_sub[u] and self.parent[u] >= 0:
                 sub[u] = sub[self.parent[u]]
         return sub
 
-    def path_to_root(self, idx: int) -> list[int]:
-        """Component indices from ``idx`` up to (and excluding) its plant."""
-        path = []
-        u = idx
-        while u >= 0 and u not in self._plant_set:
-            path.append(u)
-            u = int(self.parent[u])
-        return path
+    def _preorder(self, visit_order: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Preorder interval ``[tin, tout]`` of every component's subtree.
+
+        Subtree sizes are summed up the visit order walked backwards; walked
+        forwards, each root takes the next free block and each parent hands
+        its children consecutive blocks after its own number.
+        """
+        n = len(self.ids)
+        parent = self.parent.tolist()
+        size = [1] * n
+        for v in reversed(visit_order):
+            if parent[v] >= 0:
+                size[parent[v]] += size[v]
+        tin = [-1] * n
+        nxt = [0] * n
+        free = 0
+        for v in visit_order:
+            p = parent[v]
+            if p < 0:
+                tin[v], free = free, free + size[v]
+            else:
+                tin[v], nxt[p] = nxt[p], nxt[p] + size[v]
+            nxt[v] = tin[v] + 1
+        for v in range(n):
+            if tin[v] < 0:  # unreached: a singleton after the reached ones
+                tin[v], free = free, free + 1
+        tin = np.array(tin, dtype=np.intp)
+        return tin, tin + np.array(size, dtype=np.intp) - 1
 
     def powered_mask(
         self, conducting: np.ndarray, plant_idx: np.ndarray | None = None
@@ -195,9 +238,26 @@ class PowerIndex:
         a component that does not conduct (failed, or under repair) blocks
         propagation entirely. ``plant_idx`` lists the live (fueled) plants;
         by default every plant is live.
+
+        On a radial grid a reached component is powered exactly when no dead
+        component (one that does not conduct, or a plant that is not live)
+        lies on its forest path, that is, when no dead interval covers its
+        ``tin``; the covers are counted with a difference array. A meshed
+        grid labels the connected components of the conducting subgraph.
         """
         if plant_idx is None:
             plant_idx = self.plant_idx
+        if self.radial:
+            n = len(self.ids)
+            dead = ~conducting
+            dead[self.plant_idx] = True
+            dead[plant_idx] = ~conducting[plant_idx]
+            d = np.flatnonzero(dead)
+            cover = np.cumsum(
+                np.bincount(self.tin[d], minlength=n + 1)
+                - np.bincount(self.tout[d] + 1, minlength=n + 1)
+            )
+            return self.reached & (cover[self.tin] == 0)
         powered = np.zeros(len(self.ids), dtype=bool)
         plant_idx = plant_idx[conducting[plant_idx]]
         if plant_idx.size == 0:

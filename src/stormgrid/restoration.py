@@ -42,7 +42,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .coupling import RoadIndex, component_accessible
 from .fragility import RepairSpec, sample_repair
@@ -69,12 +68,14 @@ class Prioritizer:
 
     A block pairs a tier mask over the pending components with one key per
     component. The static inputs of the keys are built once from the
-    context's position arrays: the id rank, the substation of each household
-    and light, and the component x light incidence of the lights' feed
-    paths. ``comp_node`` is each component's crew road node. Road distances
-    are measured from it over the currently passable subgraph (a component
-    cut off by floodwater sorts last, mirroring the access gate) and cached
-    per passable set, which recurs across hours and replications.
+    context's position arrays: the id rank and the substation of each
+    household and light. A component lies on a light's feed path (the feed
+    component and its forest ancestors below the plant) exactly when its
+    preorder interval in the network index holds the feed's.
+    ``comp_node`` is each component's crew road node. Road distances are
+    measured from it over the currently passable subgraph (a component cut
+    off by floodwater sorts last, mirroring the access gate) and cached per
+    passable set, which recurs across hours and replications.
     """
 
     def __init__(
@@ -109,15 +110,7 @@ class Prioritizer:
             np.where(idx.substation_of[a] >= 0, idx.substation_of[a], n)
             for a in (hh_attach, light_feed)
         )
-        # Component x light incidence: the light's static feed path (its
-        # feed component and the upstream chain) crosses the component.
-        paths = [idx.path_to_root(int(feed)) for feed in light_feed]
-        rows = [c for path in paths for c in path]
-        cols = [li for li, path in enumerate(paths) for _ in path]
-        self.light_paths = csr_matrix(
-            (np.ones(len(rows), dtype=np.int32), (rows, cols)),
-            shape=(n, len(paths)),
-        )
+        self.light_feed = light_feed
 
         self._dist_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -171,7 +164,11 @@ class Prioritizer:
             to_plant, to_sub = (d[comps] for d in self._distances(passable))
             blocks = [(trans, to_plant), (subs, -hh_out), (dist, to_sub)]
             if strategy is Strategy.TRAFFIC_LIGHT_BASED:
-                feeds = (self.light_paths @ ~light_powered)[comps] > 0
+                idx = self.index
+                dark = np.sort(idx.tin[self.light_feed[~light_powered]])
+                feeds = np.searchsorted(
+                    dark, idx.tout[comps], "right"
+                ) > np.searchsorted(dark, idx.tin[comps], "left")
                 lights_out = np.bincount(
                     self.light_sub[~light_powered], minlength=n + 1
                 )[comps]

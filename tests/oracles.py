@@ -2,14 +2,15 @@
 
 These run before and beside the package code: plain-python breadth-first
 reachability for connectivity, high-precision curve evaluation through
-mpmath for the fragility formulas, restoration orderings restated with
+mpmath for the fragility formulas, the failure draw walked one component at
+a time over the package's scalar curves, restoration orderings restated with
 Python ``sorted``, the scheduling walk restated over ids, and the closed
 form for the hour a flooded link reopens. They share no code with the
 package beyond the network index and the road distance query they take as
-inputs. The scalar crew road node here is the reference for the package's
-vectorised one. The percentile bootstrap below is the statistic
-the acceptance criteria use to compare strategies; the package needs no
-bootstrap of its own.
+inputs, and the scalar wind lookup and curves of the failure draw. The
+scalar crew road node here is the reference for the package's vectorised
+one. The percentile bootstrap below is the statistic the acceptance criteria
+use to compare strategies; the package needs no bootstrap of its own.
 """
 
 import math
@@ -19,6 +20,9 @@ import mpmath as mp
 import numpy as np
 
 from stormgrid.errors import ConfigError
+from stormgrid.fragility import failure_probability, p_fail_substation
+from stormgrid.hazard import wind_at
+from stormgrid.network import ComponentKind, DamageLevel
 
 mp.mp.dps = 40
 
@@ -72,6 +76,43 @@ def mp_lognormal_cdf(x, median, sigma):
     if x <= 0:
         return mp.mpf(0)
     return mp.ncdf((mp.log(x) - mp.log(median)) / mp.mpf(sigma))
+
+
+def path_to_root(idx, c):
+    """Positions from ``c`` up its forest parents to, not including, a plant."""
+    plants = set(idx.plant_idx.tolist())
+    path = []
+    while c >= 0 and c not in plants:
+        path.append(c)
+        c = int(idx.parent[c])
+    return path
+
+
+def reference_failures(net, scenario, config, rng):
+    """Failed ids of one draw, walking the components one at a time.
+
+    Sets every substation's ``damage_level`` to the last level, in order of
+    severity, whose probability beats the component's uniform.
+    """
+    comps = list(net.components.values())
+    draws = rng.random(len(comps))
+    failed = []
+    for comp, r in zip(comps, draws):
+        if comp.kind is ComponentKind.PLANT:
+            continue
+        x = wind_at(scenario, comp.location)
+        if comp.kind is ComponentKind.SUBSTATION:
+            probs = p_fail_substation(x, config.substation)
+            level = None
+            for lv in (DamageLevel.MODERATE, DamageLevel.SEVERE, DamageLevel.COMPLETE):
+                if probs[lv] > r:
+                    level = lv
+            comp.damage_level = level
+            if level is not None:
+                failed.append(comp.id)
+        elif failure_probability(comp.kind, x, config) > r:
+            failed.append(comp.id)
+    return failed
 
 
 def component_road_node(component, roads):
@@ -152,7 +193,7 @@ def reference_order(
         idx.ids[c]
         for tl, on in zip(lights, light_powered)
         if not on
-        for c in idx.path_to_root(idx.pos[tl.feed_component])
+        for c in path_to_root(idx, idx.pos[tl.feed_component])
     }
 
     pending = set(pending)

@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stormgrid.errors import FragilityParamError, RepairModelError
+from stormgrid.errors import (
+    ExtentError,
+    FragilityParamError,
+    RepairModelError,
+    StormGridError,
+)
 from stormgrid.fragility import (
     FragilityConfig,
     LineFragilityParams,
@@ -20,10 +27,11 @@ from stormgrid.fragility import (
     sample_failures,
     sample_repair,
 )
-from stormgrid.hazard import HazardScenario
+from stormgrid.hazard import HazardScenario, WindCell
 from stormgrid.network import ComponentKind, DamageLevel
 
 from .conftest import KIND, make_power
+from .oracles import reference_failures
 
 MOD, SEV, COMP = DamageLevel.MODERATE, DamageLevel.SEVERE, DamageLevel.COMPLETE
 
@@ -265,6 +273,89 @@ class TestSampleFailures:
                 )
             )
         assert sets[65.0] <= sets[115.0]
+
+    def test_first_cell_inclusive_bounds_and_extent(self):
+        cells = [WindCell(0, 0, 10, 10, 0.0), WindCell(0, 0, 20, 20, 250.0)]
+        sc = HazardScenario(wind_mph=cells)
+        comps = [
+            ("P", "plant", 99, 99),  # plants need no wind cell
+            ("IN", "conductor", 5, 5),  # first cell wins: calm
+            ("EDGE", "conductor", 10, 10),  # bounds inclusive: still calm
+            ("OUT", "conductor", 10.5, 10),  # only the second cell: fails
+        ]
+        net = self._net(comps)
+        assert sample_failures(net, sc, FragilityConfig(), _ZeroRng()) == ["OUT"]
+        net = self._net(comps + [("FAR", "pole", 20, 20.5)])
+        with pytest.raises(ExtentError, match=r"location \(20.0, 20.5\) outside"):
+            sample_failures(net, sc, FragilityConfig(), _ZeroRng())
+
+    def test_fails_only_where_probability_exceeds_draw(self):
+        # At 0 mph conductors have probability 0, so r = 0 spares them.
+        net = self._net([("P", "plant", 0, 0), ("C", "conductor", 0, 0),
+                         ("D", "pole", 0, 0), ("L", "line", 0, 0)])
+        failed = sample_failures(
+            net, HazardScenario(wind_mph=0.0), FragilityConfig(), _ZeroRng()
+        )
+        assert failed == ["D", "L"]
+
+
+# Low medians and an early line ramp, so substations and lines fail at
+# moderate winds too.
+_FRAGILE = FragilityConfig(
+    substation=SubstationFragilityParams.from_medians(
+        {MOD: 60.0, SEV: 90.0, COMP: 120.0}, 0.3
+    ),
+    line=LineFragilityParams(40.0, 90.0),
+)
+# Cells start at 0 or 10 and span 0, 10 or 20; component coordinates lie on
+# those bounds, between them and outside every cell unless a backdrop cell
+# spans the whole plot.
+_COORDS = [5.0, 10.0, 0.0, 20.0, 15.0, 30.0, -5.0, 35.0]
+# 0 and 250 mph separate the outcomes of most kinds for any uniform draw.
+_MPH = st.one_of(st.sampled_from([250.0, 0.0, 65, 115.0]), st.floats(0, 250))
+
+
+@st.composite
+def _wind_cells(draw):
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        x0, y0 = (draw(st.sampled_from([0.0, 10.0])) for _ in range(2))
+        w, h = (draw(st.sampled_from([10.0, 20.0, 0.0])) for _ in range(2))
+        cells.append(WindCell(x0, y0, x0 + w, y0 + h, draw(_MPH)))
+    if draw(st.booleans()):
+        cells.append(WindCell(-10.0, -10.0, 40.0, 40.0, draw(_MPH)))
+    return cells
+
+
+def _draw_outcome(sample, comps, scenario, config, seed):
+    """Failed ids and every damage level of one draw, or the error it raised."""
+    net, _ = make_power(comps, [])
+    try:
+        failed = sample(net, scenario, config, np.random.default_rng(seed))
+    except StormGridError as exc:
+        return type(exc), str(exc)
+    return failed, {cid: c.damage_level for cid, c in net.components.items()}
+
+
+class TestSampleFailuresMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(KIND)), min_size=1, max_size=30),
+        data=st.data(),
+        wind=st.one_of(_MPH, _wind_cells()),
+        config=st.sampled_from([FragilityConfig(), _FRAGILE]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_ids_levels_and_errors(self, kinds, data, wind, config, seed):
+        xy = st.sampled_from(_COORDS)
+        comps = [
+            (f"C{i}", kind, data.draw(xy), data.draw(xy))
+            for i, kind in enumerate(kinds)
+        ]
+        scenario = HazardScenario(wind_mph=wind)
+        want = _draw_outcome(reference_failures, comps, scenario, config, seed)
+        got = _draw_outcome(sample_failures, comps, scenario, config, seed)
+        assert got == want
 
 
 class _MeanRng:

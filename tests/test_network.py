@@ -238,6 +238,66 @@ class TestPoweredSet:
         ]
         assert powered_ids(net, down, live) == oracle(net, down, live)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_bfs_oracle_on_radial_graphs(self, data):
+        # Forests whose plants each root their own tree, plus plant-less
+        # fragments; edges among unreached components (even cycles) keep the
+        # grid radial, because no plant can reach them.
+        n = data.draw(st.integers(2, 40), label="components")
+        n_plants = data.draw(st.integers(1, min(4, n)), label="plants")
+        # Each non-plant joins an earlier component or starts a fragment (-1).
+        parent = [-1] * n_plants + [
+            data.draw(st.integers(-1, i - 1), label=f"parent of {i}")
+            for i in range(n_plants, n)
+        ]
+        root = list(range(n))
+        for i in range(n_plants, n):
+            if parent[i] >= 0:
+                root[i] = root[parent[i]]
+        edges = [(i, p) for i, p in enumerate(parent) if p >= 0]
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        extra = data.draw(st.lists(pairs, max_size=n), label="fragment edges")
+        edges += [(a, b) for a, b in extra if min(root[a], root[b]) >= n_plants]
+        order = data.draw(st.permutations(range(n)), label="file order")
+        ids = [f"G{i}" if i < n_plants else f"N{i}" for i in range(n)]
+        comps = [
+            (ids[i], "plant" if i < n_plants else "pole", i, 0) for i in order
+        ]
+        flip = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                                  max_size=len(edges)), label="edge direction")
+        net, _ = make_power(
+            comps, [(ids[b], ids[a]) if f else (ids[a], ids[b])
+                    for (a, b), f in zip(edges, flip)]
+        )
+        assert net.index.radial
+        down = {cid for cid in ids if data.draw(st.booleans(), label=f"{cid} down")}
+        live = [
+            p for p in net.plants if data.draw(st.booleans(), label=f"{p} fueled")
+        ]
+        assert powered_ids(net, down, live) == oracle(net, down, live)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("G0", "A"), ("A", "B"), ("B", "C"), ("C", "A")],
+            [("G0", "A"), ("A", "B"), ("B", "G1")],
+            [("G0", "A"), ("A", "B"), ("G0", "A")],
+            [("G0", "A"), ("A", "A"), ("A", "B")],
+        ],
+        ids=["cycle", "two-plants-one-tree", "duplicate-edge", "self-loop"],
+    )
+    def test_meshed_grid_matches_oracle_on_every_mask(self, edges):
+        names = sorted({c for e in edges for c in e})
+        comps = [(c, "plant" if c.startswith("G") else "pole", 0, 0) for c in names]
+        net, _ = make_power(comps, edges)
+        assert not net.index.radial
+        for down_bits in range(2 ** len(names)):
+            down = {c for k, c in enumerate(names) if down_bits >> k & 1}
+            for live_bits in range(2 ** len(net.plants)):
+                live = [p for k, p in enumerate(net.plants) if live_bits >> k & 1]
+                assert powered_ids(net, down, live) == oracle(net, down, live)
+
     def test_repair_never_shrinks_powered_set(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
