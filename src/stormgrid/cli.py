@@ -1,4 +1,4 @@
-"""Command-line entry point, run configuration, and the scenario file schema.
+"""Command-line entry point, argument checks, and the scenario file schema.
 
 Three subcommands: ``simulate`` (the default when flags are given directly),
 ``make-testbed``, and ``plot-data``. See the README for the scenario JSON
@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .engine import MonteCarloConfig, run_experiment
@@ -240,27 +240,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 # Argument parsing
 
 
-@dataclass
-class RunConfig:
-    command: str
-    power: Path | None = None
-    roads: Path | None = None
-    couplings: Path | None = None
-    scenario: Path | None = None
-    strategies: list[Strategy] = field(default_factory=list)
-    teams: int = 0
-    seed: int = 0
-    min_reps: int = 10
-    max_reps: int = 200
-    confidence: float = 0.90
-    rel_halfwidth: float = 0.10
-    out: Path = Path(".")
-    no_crew_access_dependence: bool = False
-    no_fuel_dependence: bool = False
-    testbed: TestbedParams | None = None
-    inputs: list[Path] = field(default_factory=list)
-
-
 def _strategy_list(token: str) -> list[Strategy]:
     try:
         return [Strategy.from_name(part) for part in token.split(",")]
@@ -282,6 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", required=True, help="scenario JSON")
     sim.add_argument(
         "--strategy",
+        dest="strategies",
         type=_strategy_list,
         default=list(Strategy),
         help="comma-separated subset of: component, distance, traffic-light "
@@ -315,10 +295,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_cli(argv: list[str]) -> RunConfig:
-    """Parse and validate arguments into a run configuration.
+def parse_cli(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate arguments.
 
-    Bare flags (no subcommand) are treated as ``simulate`` flags.
+    Bare flags (no subcommand) are treated as ``simulate`` flags. A
+    ``simulate`` namespace lists its strategies once each, in the order
+    given; a ``make-testbed`` namespace carries its parameters as
+    ``testbed``.
     """
     if argv and argv[0].startswith("-"):
         argv = ["simulate"] + list(argv)
@@ -344,30 +327,9 @@ def parse_cli(argv: list[str]) -> RunConfig:
             p = Path(getattr(ns, flag))
             if not p.is_file():
                 raise ConfigError(f"--{flag}: file not found: {p}")
-        strategies: list[Strategy] = []
-        for s in ns.strategy:
-            if s not in strategies:
-                strategies.append(s)
-        return RunConfig(
-            command="simulate",
-            power=Path(ns.power),
-            roads=Path(ns.roads),
-            couplings=Path(ns.couplings),
-            scenario=Path(ns.scenario),
-            strategies=strategies,
-            teams=ns.teams,
-            seed=ns.seed,
-            min_reps=ns.min_reps,
-            max_reps=ns.max_reps,
-            confidence=ns.confidence,
-            rel_halfwidth=ns.rel_halfwidth,
-            out=Path(ns.out),
-            no_crew_access_dependence=ns.no_crew_access_dependence,
-            no_fuel_dependence=ns.no_fuel_dependence,
-        )
-
-    if ns.command == "make-testbed":
-        params = TestbedParams(
+        ns.strategies = list(dict.fromkeys(ns.strategies))
+    elif ns.command == "make-testbed":
+        ns.testbed = TestbedParams(
             grid_size=ns.grid_size,
             households=ns.households,
             substations=ns.substations,
@@ -376,23 +338,19 @@ def parse_cli(argv: list[str]) -> RunConfig:
             wind_mph=ns.wind_mph,
             runoff_in=ns.runoff_in,
         )
-        return RunConfig(command="make-testbed", testbed=params, out=Path(ns.out))
-
-    return RunConfig(
-        command="plot-data",
-        inputs=[Path(p) for p in ns.inputs],
-        out=Path(ns.out),
-    )
+    return ns
 
 
-def _run_simulate(cfg: RunConfig) -> int:
+def _run_simulate(cfg: argparse.Namespace) -> int:
     scenario_cfg = load_scenario(cfg.scenario)
     net, roads, households = load_networks(cfg.power, cfg.roads, cfg.couplings)
-    hazard = scenario_cfg.hazard
-    if cfg.no_crew_access_dependence:
-        hazard.crew_access_dependence = False
-    if cfg.no_fuel_dependence:
-        hazard.fuel_dependence = False
+    hazard = replace(
+        scenario_cfg.hazard,
+        fuel_dependence=scenario_cfg.hazard.fuel_dependence
+        and not cfg.no_fuel_dependence,
+        crew_access_dependence=scenario_cfg.hazard.crew_access_dependence
+        and not cfg.no_crew_access_dependence,
+    )
 
     mc_config = MonteCarloConfig(
         confidence=cfg.confidence,

@@ -4,10 +4,12 @@ Each replication: decide when each road link turns passable and each plant
 regains fuel, sample wind failures once at hour 0, then step hour by hour;
 due repairs complete, service is remeasured and new repair jobs start under
 the chosen strategy, until every failed component is repaired and every
-household has power again, or the run can no longer change and stops with
-the hour-cap error. The hourly state is one record array with a row per
-hour from hour 0, so a row's position is its hour and the ``q_households``
-and ``q_traffic_lights`` columns are the two Q(t) curves the metrics read.
+household and traffic light has power again (a light can stay dark after
+the last repair while its plant waits for fuel), or the run can no longer
+change and stops with the hour-cap error. The hourly state is one record
+array with a row per hour from hour 0, so a row's position is its hour and
+the ``q_households`` and ``q_traffic_lights`` columns are the two Q(t)
+curves the metrics read.
 A failure draw containing a job larger than the whole crew pool is rejected
 at hour 0, since that job could never start.
 
@@ -39,7 +41,7 @@ from .errors import ConfigError, SimulationCapError
 from .fragility import FragilityConfig, RepairModel, sample_failures
 from .hazard import HazardScenario, drain_step, initial_flood, passable_mask
 from .metrics import full_restoration_hour, normal_ci_halfwidth
-from .network import Household, PowerNetwork, RoadNetwork
+from .network import Household, PowerNetwork, RoadNetwork, nearest_link_positions
 from .restoration import (
     JobTable,
     Prioritizer,
@@ -85,13 +87,14 @@ class ReplicationResult:
 class SimulationContext:
     """Static per-network state shared across replications and strategies.
 
-    Holds the integer indexes, the prioritizer (with its road-distance
-    caches) and the position arrays it and the replications read: per
-    component its nearest road link and crew road node, per household and
-    light its attachment, and per plant its position and road node. Nothing
-    here changes during a replication except those caches. The hour-0
-    failure draw still writes substation damage levels onto the components,
-    so replications run one at a time per context.
+    Holds the network, the integer indexes, the prioritizer (with its
+    road-distance caches) and the position arrays it and the replications
+    read: per component its nearest road link and crew road node, per
+    household and light its attachment, and per plant (in the order of the
+    index's ``plant_idx``) its road node. Nothing here changes during a
+    replication except those caches. The hour-0 failure draw still writes
+    substation damage levels onto the components, so replications run one
+    at a time per context.
     """
 
     def __init__(
@@ -105,12 +108,7 @@ class SimulationContext:
         self.households = households
         self.index = idx = net.index
         self.road_index = rix = RoadIndex(roads)
-
-        link_pos = {lid: i for i, lid in enumerate(rix.link_ids)}
-        comps = [net.components[cid] for cid in idx.ids]
-        self.comp_link = np.array(
-            [link_pos[c.nearest_road_link] for c in comps], dtype=np.intp
-        )
+        self.comp_link = nearest_link_positions(net, roads)
         self.comp_node = crew_road_nodes(rix, self.comp_link, idx.location)
         self.hh_attach = np.array(
             [idx.pos[hh.attachment] for hh in households], dtype=np.intp
@@ -119,10 +117,10 @@ class SimulationContext:
             [idx.pos[tl.feed_component] for tl in roads.traffic_lights.values()],
             dtype=np.intp,
         )
-        self.plant_pos = idx.plant_idx
-        self.plant_node = self.comp_node[self.plant_pos]
+        self.plant_node = self.comp_node[idx.plant_idx]
         self.prioritizer = Prioritizer(
-            net, rix, self.comp_node, self.hh_attach, self.light_feed
+            idx, rix, self.comp_node, self.plant_node, self.hh_attach,
+            self.light_feed,
         )
 
 
@@ -132,10 +130,17 @@ def road_schedule(
     """First hour each road link is passable and each plant has fuel, or
     ``hard_cap + 1``. Floodwater only drains, so both hold from then on; the
     depths drain with the hourly float operations, and fuel is checked only
-    at hours a link opens while some plant lacks it."""
+    at hours a link opens while some plant lacks it. The walk stops once
+    every link is open or too deep to drain to the threshold by the cap."""
     fuel_node = resolve_fuel_nodes(ctx.net, scenario, ctx.road_index, ctx.plant_node)
     never = hard_cap + 1
     depth = initial_flood(scenario, ctx.road_index.link_ids)
+    # A drain step takes off at most the rate plus half a unit in the last
+    # place of the depth. Allowing two units also covers the rounding of
+    # this test, so a hopeless link stays closed through the cap.
+    hopeless = depth - scenario.passable_threshold_in > hard_cap * (
+        scenario.drainage_in_per_hr + 2 * np.spacing(depth)
+    )
     link_from = np.full(len(depth), never)
     plant_from = np.full(len(ctx.plant_node), never)
     for hour in range(never):
@@ -149,7 +154,7 @@ def road_schedule(
                 ctx.road_index, fuel_node, ctx.plant_node, link_from <= hour, scenario
             )
             plant_from[unfueled & fueled] = hour
-        if (link_from <= hour).all():
+        if ((link_from <= hour) | hopeless).all():
             break
     return link_from, plant_from
 
@@ -167,7 +172,11 @@ def run_replication(
     hard_cap: int = HARD_CAP_HOURS,
     context: SimulationContext | None = None,
 ) -> ReplicationResult:
-    """One seeded end-to-end replication; deterministic given (seed, config)."""
+    """One seeded end-to-end replication; deterministic given (seed, config).
+
+    The network is read only through ``context``; ``net``, ``roads`` and
+    ``households`` build a context when none is given.
+    """
     if teams < 1:
         raise ConfigError(f"need at least one restoration team, got {teams}")
     ctx = context or SimulationContext(net, roads, households)
@@ -181,10 +190,10 @@ def run_replication(
     # Fuel returns only at hours a link opens: no road change comes later.
     roads_settled = int(link_from[link_from <= hard_cap].max(initial=0))
 
-    failed = sample_failures(net, scenario, fragility, failure_rng)
+    failed = sample_failures(ctx.net, scenario, fragility, failure_rng)
     jobs = JobTable(len(ids), teams)
     for cid in failed:
-        comp = net.components[cid]
+        comp = ctx.net.components[cid]
         spec = repair_model.spec_for(comp.kind, comp.damage_level)
         if spec.crews > teams:
             raise ConfigError(
@@ -208,11 +217,11 @@ def run_replication(
         passable = link_from <= hour
         n_passable = int(np.count_nonzero(passable))
 
-        restored = ctx.plant_pos[plant_from == hour]
+        restored = idx.plant_idx[plant_from == hour]
         events += [(hour, "fuel_restored", ids[c]) for c in restored.tolist()]
 
         if hour == 0 or completed.size or restored.size:
-            powered = idx.powered_mask(alive, ctx.plant_pos[plant_from <= hour])
+            powered = idx.powered_mask(alive, idx.plant_idx[plant_from <= hour])
             hh_powered = powered[ctx.hh_attach]
             light_powered = powered[ctx.light_feed]
             q_hh = float(hh_powered.mean()) if hh_powered.size else 1.0
@@ -243,7 +252,7 @@ def run_replication(
              int(jobs.crews[jobs.running].sum()))
         )
 
-        if n_failed == 0 and q_hh >= 1.0:
+        if n_failed == 0 and q_hh >= 1.0 and q_tl >= 1.0:
             break
         # Settled roads and no running job: nothing changes before the cap.
         if hour == hard_cap or (hour >= roads_settled and not jobs.running.size):

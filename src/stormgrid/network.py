@@ -129,10 +129,13 @@ class PowerIndex:
     per-replication state that the caller owns and passes in as a boolean
     mask per query.
 
+    It is the one owner of the grid's tables: the edges become one array of
+    position pairs that feeds the CSR ``adjacency`` (sorted columns), the
+    breadth-first forest rooted at the plants and the ``radial`` count.
     Per component it holds the kind code (a position in ``KINDS``), the
-    location as an ``(n, 2)`` array, the parent in the breadth-first forest
-    rooted at the plants, and the preorder interval ``[tin, tout]`` of its
-    forest subtree: ``a`` is ``b`` or an ancestor of ``b`` exactly when
+    location as an ``(n, 2)`` array, the parent in that forest, the nearest
+    substation at or above it (-1 for none), and the preorder interval
+    ``[tin, tout]`` of its forest subtree: ``a`` is ``b`` or an ancestor of ``b`` exactly when
     ``tin[a] <= tin[b] <= tout[a]``. Components no plant reaches are roots of
     singleton intervals numbered after the reached ones. ``radial`` is read
     from the data: it holds when every edge among reached components is a
@@ -147,87 +150,70 @@ class PowerIndex:
         comps = net.components.values()
         self.kind = np.array([code[c.kind] for c in comps], dtype=np.intp)
         self.location = np.array([c.location for c in comps], dtype=float).reshape(n, 2)
-        rows, cols = [], []
-        for a, b in net.edges:
-            ia, ib = self.pos[a], self.pos[b]
-            rows += [ia, ib]
-            cols += [ib, ia]
+        ends = np.array(
+            [(self.pos[a], self.pos[b]) for a, b in net.edges], dtype=np.intp
+        ).reshape(-1, 2)
+        rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
         data = np.ones(len(rows), dtype=np.int8)
         self.adjacency = csr_matrix((data, (rows, cols)), shape=(n, n))
+        self.adjacency.sum_duplicates()  # sorted neighbours fix the BFS order
         self.plant_idx = np.array([self.pos[p] for p in net.plants], dtype=np.intp)
         # BFS forest rooted at the plants over the pristine graph. Used for
         # upstream paths and per-substation service areas; for a radial grid
         # the forest is the grid itself.
-        self.parent, visit_order = self._bfs_forest(net)
-        self.substation_of = self._assign_substations(visit_order)
-        self.tin, self.tout = self._preorder(visit_order)
-        self.reached = self.tin < len(visit_order)
-        edges_in_reach = sum(1 for a, _ in net.edges if self.reached[self.pos[a]])
-        self.radial = edges_in_reach == len(visit_order) - len(self.plant_idx)
+        self._forest()
+        edges_in_reach = np.count_nonzero(self.reached[ends[:, 0]])
+        forest_edges = np.count_nonzero(self.reached) - len(self.plant_idx)
+        self.radial = bool(edges_in_reach == forest_edges)
 
-    def _bfs_forest(self, net: PowerNetwork) -> tuple[np.ndarray, list[int]]:
-        """Parent per component (-1 for roots and unreached) and BFS visit order."""
-        neighbors: list[list[int]] = [[] for _ in self.ids]
-        for a, b in net.edges:
-            ia, ib = self.pos[a], self.pos[b]
-            neighbors[ia].append(ib)
-            neighbors[ib].append(ia)
-        for lst in neighbors:
-            lst.sort()
-        parent = np.full(len(self.ids), -1, dtype=np.intp)
-        seen = np.zeros(len(self.ids), dtype=bool)
+    def _forest(self) -> None:
+        """Set ``parent``, ``reached``, ``tin``/``tout`` and ``substation_of``.
+
+        The BFS visits the plants in position order and each component's
+        neighbours in the sorted column order of its adjacency row. Subtree
+        sizes are summed up the visit order walked backwards. Walked
+        forwards, each root takes the next free block, each parent hands its
+        children consecutive blocks after its own number, and a child that
+        is no substation takes its parent's. Unreached components are
+        singletons after the reached ones, and their own kind decides their
+        substation.
+        """
+        n = len(self.ids)
+        indptr = self.adjacency.indptr.tolist()
+        indices = self.adjacency.indices.tolist()
+        parent = [-1] * n
+        seen = np.isin(np.arange(n), self.plant_idx).tolist()
         order = sorted(self.plant_idx.tolist())
-        seen[self.plant_idx] = True
         for u in order:  # the visit order grows as it is walked: it is the queue
-            for v in neighbors[u]:
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     parent[v] = u
                     order.append(v)
-        return parent, order
-
-    def _assign_substations(self, visit_order: list[int]) -> np.ndarray:
-        """Nearest substation ancestor (by BFS forest) per component, -1 if none.
-
-        ``visit_order`` puts every parent before its children. Components the
-        BFS never reached have no forest children, so only their own kind
-        decides their entry.
-        """
-        is_sub = self.kind == KINDS.index(ComponentKind.SUBSTATION)
-        sub = np.where(is_sub, np.arange(len(self.ids)), -1).astype(np.intp)
-        for u in visit_order:
-            if not is_sub[u] and self.parent[u] >= 0:
-                sub[u] = sub[self.parent[u]]
-        return sub
-
-    def _preorder(self, visit_order: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Preorder interval ``[tin, tout]`` of every component's subtree.
-
-        Subtree sizes are summed up the visit order walked backwards; walked
-        forwards, each root takes the next free block and each parent hands
-        its children consecutive blocks after its own number.
-        """
-        n = len(self.ids)
-        parent = self.parent.tolist()
         size = [1] * n
-        for v in reversed(visit_order):
+        for v in reversed(order):
             if parent[v] >= 0:
                 size[parent[v]] += size[v]
+        is_sub = (self.kind == KINDS.index(ComponentKind.SUBSTATION)).tolist()
+        sub = [v if is_sub[v] else -1 for v in range(n)]
         tin = [-1] * n
         nxt = [0] * n
         free = 0
-        for v in visit_order:
+        for v in order:
             p = parent[v]
             if p < 0:
                 tin[v], free = free, free + size[v]
             else:
                 tin[v], nxt[p] = nxt[p], nxt[p] + size[v]
+                if not is_sub[v]:
+                    sub[v] = sub[p]
             nxt[v] = tin[v] + 1
-        for v in range(n):
-            if tin[v] < 0:  # unreached: a singleton after the reached ones
-                tin[v], free = free, free + 1
-        tin = np.array(tin, dtype=np.intp)
-        return tin, tin + np.array(size, dtype=np.intp) - 1
+        self.parent = np.array(parent, dtype=np.intp)
+        self.reached = np.array(seen)
+        self.tin = np.array(tin, dtype=np.intp)
+        self.tin[~self.reached] = np.arange(free, n)
+        self.tout = self.tin + np.array(size, dtype=np.intp) - 1
+        self.substation_of = np.array(sub, dtype=np.intp)
 
     def powered_mask(
         self, conducting: np.ndarray, plant_idx: np.ndarray | None = None
@@ -427,6 +413,13 @@ def assign_nearest_road_links(
         best = np.argmin(d2, axis=1)
         for j, comp in enumerate(comp_list[start : start + chunk]):
             comp.nearest_road_link = link_ids[order[best[j]]]
+
+
+def nearest_link_positions(net: PowerNetwork, roads: RoadNetwork) -> np.ndarray:
+    """Position in ``roads.link_ids`` of each component's nearest road link."""
+    link_pos = {lid: i for i, lid in enumerate(roads.link_ids)}
+    comps = net.components.values()
+    return np.array([link_pos[c.nearest_road_link] for c in comps], dtype=np.intp)
 
 
 def load_networks(

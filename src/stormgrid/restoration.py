@@ -46,7 +46,7 @@ import numpy as np
 from .coupling import RoadIndex, component_accessible
 from .fragility import RepairSpec, sample_repair
 from .hazard import HazardScenario
-from .network import ComponentKind, PowerNetwork
+from .network import KINDS, ComponentKind, PowerIndex
 
 
 class Strategy(enum.Enum):
@@ -68,42 +68,42 @@ class Prioritizer:
 
     A block pairs a tier mask over the pending components with one key per
     component. The static inputs of the keys are built once from the
-    context's position arrays: the id rank and the substation of each
-    household and light. A component lies on a light's feed path (the feed
-    component and its forest ancestors below the plant) exactly when its
-    preorder interval in the network index holds the feed's.
-    ``comp_node`` is each component's crew road node. Road distances are
-    measured from it over the currently passable subgraph (a component cut
-    off by floodwater sorts last, mirroring the access gate) and cached per
-    passable set, which recurs across hours and replications.
+    network index and the context's position arrays: each component's tier
+    (from its kind code) and id rank, and the substation of each household
+    and light. A component lies on a light's feed path (the feed component
+    and its forest ancestors below the plant) exactly when its preorder
+    interval in the index holds the feed's. ``comp_node`` is each
+    component's crew road node and ``plant_node`` each plant's. Road
+    distances are measured from them over the currently passable subgraph
+    (a component cut off by floodwater sorts last, mirroring the access
+    gate) and cached per passable set, which recurs across hours and
+    replications.
     """
 
     def __init__(
         self,
-        net: PowerNetwork,
+        index: PowerIndex,
         road_index: RoadIndex,
         comp_node: np.ndarray,
+        plant_node: np.ndarray,
         hh_attach: np.ndarray,
         light_feed: np.ndarray,
     ):
-        self.index = net.index
+        self.index = idx = index
         self.road_index = road_index
         self.comp_node = comp_node
 
-        idx = self.index
         n = len(idx.ids)
-        self.plant_nodes = sorted({int(comp_node[i]) for i in idx.plant_idx})
+        self.plant_nodes = np.unique(plant_node).tolist()
         self.id_rank = np.empty(n, dtype=np.intp)
         self.id_rank[sorted(range(n), key=idx.ids.__getitem__)] = np.arange(n)
 
-        kinds = [net.components[cid].kind for cid in idx.ids]
-        self.is_sub = np.array([k is ComponentKind.SUBSTATION for k in kinds])
-        self.is_transmission = np.array(
-            [k in (ComponentKind.TOWER, ComponentKind.LINE) for k in kinds]
-        )
-        self.is_distribution = np.array(
-            [k in (ComponentKind.POLE, ComponentKind.CONDUCTOR) for k in kinds]
-        )
+        def of_kind(*kinds: ComponentKind) -> np.ndarray:
+            return np.isin(idx.kind, [KINDS.index(k) for k in kinds])
+
+        self.is_sub = of_kind(ComponentKind.SUBSTATION)
+        self.is_transmission = of_kind(ComponentKind.TOWER, ComponentKind.LINE)
+        self.is_distribution = of_kind(ComponentKind.POLE, ComponentKind.CONDUCTOR)
 
         # Substation of each household and light; n stands for none.
         self.hh_sub, self.light_sub = (

@@ -1,9 +1,10 @@
 """Independent reference implementations kept deliberately naive.
 
 These run before and beside the package code: plain-python breadth-first
-reachability for connectivity, high-precision curve evaluation through
-mpmath for the fragility formulas, the failure draw walked one component at
-a time over the package's scalar curves, restoration orderings restated with
+reachability for connectivity, the breadth-first forest over neighbour lists,
+high-precision curve evaluation through mpmath for the fragility formulas,
+the failure draw walked one component at a time over the package's scalar
+curves, restoration orderings restated with
 Python ``sorted``, the scheduling walk restated over ids, and the closed
 form for the hour a flooded link reopens. They share no code with the
 package beyond the network index and the road distance query they take as
@@ -47,6 +48,48 @@ def bfs_powered(components, edges, plants, conducting):
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+def reference_forest(net):
+    """Breadth-first forest rooted at the plants, over neighbour lists.
+
+    Positions follow ``net.components``. Plants are visited in position
+    order and each component's neighbours in position order, duplicates and
+    self-loops included. Returns per component its parent (-1 for plants
+    and unreached components), nearest substation ancestor or itself (-1
+    if none) and whether a plant reaches it, and whether the grid is radial:
+    the edges among reached components, counted with repeats, are exactly
+    the forest edges.
+    """
+    ids = list(net.components)
+    pos = {cid: i for i, cid in enumerate(ids)}
+    neighbors = [[] for _ in ids]
+    for a, b in net.edges:
+        neighbors[pos[a]].append(pos[b])
+        neighbors[pos[b]].append(pos[a])
+    for lst in neighbors:
+        lst.sort()
+    parent = [-1] * len(ids)
+    seen = [False] * len(ids)
+    order = sorted(pos[p] for p in net.plants)
+    for p in order:
+        seen[p] = True
+    for u in order:  # the visit order grows as it is walked: it is the queue
+        for v in neighbors[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                order.append(v)
+    is_sub = [c.kind is ComponentKind.SUBSTATION for c in net.components.values()]
+    sub = [i if is_sub[i] else -1 for i in range(len(ids))]
+    for u in order:
+        if not is_sub[u] and parent[u] >= 0:
+            sub[u] = sub[parent[u]]
+    forest = Counter(frozenset((v, p)) for v, p in enumerate(parent) if p >= 0)
+    in_reach = Counter(
+        frozenset((pos[a], pos[b])) for a, b in net.edges if seen[pos[a]]
+    )
+    return parent, sub, seen, in_reach == forest
 
 
 def mp_tower(x):

@@ -604,6 +604,62 @@ class TestMainEndToEnd:
         assert "ISO" in err and "cannot reach a plant" in err
         assert not (tmp_path / "res").exists()
 
+    def _dark_light_run(self, tmp_path, runoff_l2):
+        """Two plants: every household on P1's tree, one light fed from P2's.
+
+        P2's crew road node is D and its fuel enters at A, so its only fuel
+        route crosses L2, which starts under ``runoff_l2`` inches. Wind 0
+        fails nothing.
+        """
+        files = {
+            "power.txt": "component P1 plant 0 0\n"
+            "component S1 substation 10 0\n"
+            "component P2 plant 300 0\n"
+            "component S2 substation 310 0\n"
+            "edge P1 S1\nedge P2 S2\n",
+            "roads.txt": "intersection A 0 0\nintersection B 100 0\n"
+            "intersection C 200 0\nintersection D 300 0\n"
+            "link L1 A B 100\nlink L2 B C 100\nlink L3 C D 100\n",
+            "couplings.txt": "household H1 10 5 S1\nlight T1 D S2\n"
+            "fuel P1 A\nfuel P2 A\n",
+            "scenario.json": json.dumps({
+                "wind_mph": 0,
+                "runoff_in": {"default": 0.0, "per_link": {"L2": runoff_l2}},
+            }),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "res"
+        rc = main([
+            "simulate",
+            "--power", str(tmp_path / "power.txt"),
+            "--roads", str(tmp_path / "roads.txt"),
+            "--couplings", str(tmp_path / "couplings.txt"),
+            "--scenario", str(tmp_path / "scenario.json"),
+            "--strategy", "distance",
+            "--teams", "2",
+            "--min-reps", "2",
+            "--max-reps", "2",
+            "--out", str(out),
+        ])
+        return rc, out
+
+    def test_run_continues_while_a_light_is_dark(self, tmp_path):
+        # households are all powered at hour 0, but the light stays dark
+        # until L2 drains below 2 in at hour 5 and P2 gets fuel
+        rc, out = self._dark_light_run(tmp_path, 5.0)
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["strategies"]["distance"]["restoration_hours_lights_100"] == 5.0
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0", "1", "2", "3", "4", "5"] * 2
+
+    def test_light_never_fueled_exits_2(self, tmp_path, capsys):
+        rc, out = self._dark_light_run(tmp_path, 1e5)
+        assert rc == 2
+        assert "did not terminate" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main([
             "simulate", "--power", "missing.txt", "--roads", "missing.txt",

@@ -277,10 +277,18 @@ class TestRoadSchedule:
         )
         assign_nearest_road_links(net.components, roads)
         # whole drain steps above the threshold land on it exactly for the
-        # binary-exact drainage rates
+        # binary-exact drainage rates; the cap's own step count, a few units
+        # in the last place either side, just meets or just misses the cap
+        def near_cap(steps_ulps):
+            steps, ulps = steps_ulps
+            d = threshold + (hard_cap + steps) * drainage
+            return max(0.0, d + ulps * float(np.spacing(d)))
+
         depth = st.one_of(
             st.floats(0.0, 30.0),
             st.integers(0, 60).map(lambda k: threshold + k * drainage),
+            st.tuples(st.integers(-1, 2), st.integers(-3, 3)).map(near_cap),
+            st.floats(30.0, 1e6),
         )
         runoff = {lid: data.draw(depth) for lid in roads.link_ids}
         sc = HazardScenario(

@@ -18,7 +18,7 @@ from stormgrid.network import assign_nearest_road_links, load_networks
 from stormgrid.restoration import Strategy
 
 from .conftest import make_power, make_roads
-from .oracles import bfs_powered
+from .oracles import bfs_powered, reference_forest
 
 
 class TestLoadNetworks:
@@ -118,6 +118,51 @@ def oracle(net, down=(), plants=None):
     conducting = {cid: cid not in down for cid in net.components}
     live = net.plants if plants is None else plants
     return bfs_powered(net.components, net.edges, live, conducting)
+
+
+class TestForest:
+    """The index's forest against a breadth-first search over neighbour lists.
+
+    On a meshed grid a component reachable along two paths takes the parent
+    the search meets first, so ``substation_of``, and with it the
+    prioritizer's substation keys, follow the search's tie order.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_forest(self, data):
+        # any multigraph: cycles, repeated edges, self-loops, several plants
+        # or none, and fragments no plant reaches, in a random file order
+        n = data.draw(st.integers(1, 12), label="components")
+        kinds = data.draw(
+            st.lists(st.sampled_from(["plant", "substation", "pole"]),
+                     min_size=n, max_size=n),
+            label="kinds",
+        )
+        order = data.draw(st.permutations(range(n)), label="file order")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        raw = data.draw(st.lists(pairs, max_size=2 * n), label="edges")
+        net, _ = make_power(
+            [(f"C{i}", kinds[i], i, 0) for i in order],
+            [(f"C{a}", f"C{b}") for a, b in raw],
+        )
+        idx = net.index
+        parent, sub, reached, radial = reference_forest(net)
+        assert idx.parent.tolist() == parent
+        assert idx.substation_of.tolist() == sub
+        assert idx.reached.tolist() == reached
+        assert idx.radial == radial
+        assert sorted(idx.tin.tolist()) == list(range(n))
+        for a in range(n):
+            below = set()
+            for b in range(n):
+                c = b
+                while c >= 0 and c != a:
+                    c = parent[c]
+                if c == a:
+                    below.add(b)
+            inside = (idx.tin[a] <= idx.tin) & (idx.tin <= idx.tout[a])
+            assert set(np.flatnonzero(inside).tolist()) == below
 
 
 def chain_net():
