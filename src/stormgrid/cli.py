@@ -342,6 +342,13 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
 
 
 def _run_simulate(cfg: argparse.Namespace) -> int:
+    mc_config = MonteCarloConfig(
+        confidence=cfg.confidence,
+        relative_halfwidth=cfg.rel_halfwidth,
+        min_replications=cfg.min_reps,
+        max_replications=cfg.max_reps,
+        base_seed=cfg.seed,
+    )
     scenario_cfg = load_scenario(cfg.scenario)
     net, roads, households = load_networks(cfg.power, cfg.roads, cfg.couplings)
     hazard = replace(
@@ -350,14 +357,6 @@ def _run_simulate(cfg: argparse.Namespace) -> int:
         and not cfg.no_fuel_dependence,
         crew_access_dependence=scenario_cfg.hazard.crew_access_dependence
         and not cfg.no_crew_access_dependence,
-    )
-
-    mc_config = MonteCarloConfig(
-        confidence=cfg.confidence,
-        relative_halfwidth=cfg.rel_halfwidth,
-        min_replications=cfg.min_reps,
-        max_replications=cfg.max_reps,
-        base_seed=cfg.seed,
     )
     experiment = run_experiment(
         net,

@@ -1,15 +1,15 @@
-"""Hourly simulation loop, replication driver, and Monte Carlo aggregation.
+"""Event-stepped simulation loop, replication driver, and Monte Carlo aggregation.
 
-Each replication: decide when each road link turns passable and each plant
-regains fuel, sample wind failures once at hour 0, then step hour by hour;
-due repairs complete, service is remeasured and new repair jobs start under
-the chosen strategy, until every failed component is repaired and every
-household and traffic light has power again (a light can stay dark after
-the last repair while its plant waits for fuel), or the run can no longer
-change and stops with the hour-cap error. The hourly state is one record
-array with a row per hour from hour 0, so a row's position is its hour and
-the ``q_households`` and ``q_traffic_lights`` columns are the two Q(t)
-curves the metrics read.
+Each replication, given only its context: decide when each road link turns
+passable and each plant regains fuel, sample wind failures once at hour 0,
+then visit hour 0 and each hour a job completes or a link opens (nothing
+changes in between); repair, remeasure service and start jobs under the
+chosen strategy until every failed component is repaired and every
+household and traffic light has power (a light can wait for its plant's
+fuel after the last repair), or stop with the hour-cap error once no next
+visit falls within the cap. The state is one record array, a row per hour
+from hour 0 (each visit's row repeats until the next), whose
+``q_households`` and ``q_traffic_lights`` columns are the two Q(t) curves.
 A failure draw containing a job larger than the whole crew pool is rejected
 at hour 0, since that job could never start.
 
@@ -160,26 +160,18 @@ def road_schedule(
 
 
 def run_replication(
-    net: PowerNetwork,
-    roads: RoadNetwork,
-    households: list[Household],
+    ctx: SimulationContext,
     scenario: HazardScenario,
     fragility: FragilityConfig,
     repair_model: RepairModel,
-    strategy: Strategy,
     teams: int,
     seed: int,
+    strategy: Strategy,
     hard_cap: int = HARD_CAP_HOURS,
-    context: SimulationContext | None = None,
 ) -> ReplicationResult:
-    """One seeded end-to-end replication; deterministic given (seed, config).
-
-    The network is read only through ``context``; ``net``, ``roads`` and
-    ``households`` build a context when none is given.
-    """
+    """One seeded end-to-end replication; deterministic given (seed, config)."""
     if teams < 1:
         raise ConfigError(f"need at least one restoration team, got {teams}")
-    ctx = context or SimulationContext(net, roads, households)
     idx = ctx.index
     ids = idx.ids
 
@@ -187,8 +179,8 @@ def run_replication(
     schedule_rng = np.random.default_rng([seed, _STREAM_SCHEDULING])
 
     link_from, plant_from = road_schedule(ctx, scenario, hard_cap)
-    # Fuel returns only at hours a link opens: no road change comes later.
-    roads_settled = int(link_from[link_from <= hard_cap].max(initial=0))
+    # Road and fuel state change only at the hours a link opens.
+    opens = np.unique(link_from[link_from <= hard_cap])
 
     failed = sample_failures(ctx.net, scenario, fragility, failure_rng)
     jobs = JobTable(len(ids), teams)
@@ -206,9 +198,11 @@ def run_replication(
     alive = ~pending
 
     events: list[tuple[int, str, str]] = [(0, "failed", cid) for cid in failed]
-    rows: list[tuple] = []
+    rows: list[tuple] = []  # one per visited hour
 
-    for hour in range(hard_cap + 1):
+    hour = next_hour = 0
+    while next_hour <= hard_cap:
+        hour = next_hour
         completed = complete_due_jobs(jobs, hour)
         alive[completed] = True
         for c in completed.tolist():
@@ -227,9 +221,7 @@ def run_replication(
             q_hh = float(hh_powered.mean()) if hh_powered.size else 1.0
             q_tl = float(light_powered.mean()) if light_powered.size else 1.0
 
-        if pending.any() and jobs.free > 0 and (
-            hour == 0 or completed.size or (link_from == hour).any()
-        ):
+        if pending.any() and jobs.free > 0:
             order = ctx.prioritizer.order(
                 strategy,
                 pending,
@@ -254,24 +246,32 @@ def run_replication(
 
         if n_failed == 0 and q_hh >= 1.0 and q_tl >= 1.0:
             break
-        # Settled roads and no running job: nothing changes before the cap.
-        if hour == hard_cap or (hour >= roads_settled and not jobs.running.size):
-            raise SimulationCapError(
-                hard_cap,
-                {
-                    "unrepaired": sorted(ids[c] for c in np.flatnonzero(pending))
-                    + sorted(ids[c] for c in jobs.running),
-                    "q_households": q_hh,
-                    "passable_links": n_passable,
-                    "strategy": strategy.value,
-                    "seed": seed,
-                },
-            )
+        upcoming = np.concatenate([jobs.done_at[jobs.running], opens])
+        next_hour = int(upcoming[upcoming > hour].min(initial=hard_cap + 1))
+    else:
+        raise SimulationCapError(
+            hard_cap,
+            {
+                "unrepaired": sorted(ids[c] for c in np.flatnonzero(pending))
+                + sorted(ids[c] for c in jobs.running),
+                "q_households": q_hh,
+                "q_traffic_lights": q_tl,
+                "dark_lights": int(np.count_nonzero(~light_powered)),
+                "unfueled_plants": [ids[c] for c in idx.plant_idx[plant_from > hour]],
+                "passable_links": n_passable,
+                "frozen_at": hour,
+                "strategy": strategy.value,
+                "seed": seed,
+            },
+        )
 
+    records = np.array(rows, dtype=RECORD_DTYPE)
+    records = np.repeat(records, np.diff(records["hour"], append=hour + 1))
+    records["hour"] = np.arange(hour + 1)
     return ReplicationResult(
         seed=seed,
         strategy=strategy,
-        records=np.array(rows, dtype=RECORD_DTYPE).view(np.recarray),
+        records=records.view(np.recarray),
         events=events,
         initial_failures=failed,
     )
@@ -290,8 +290,11 @@ class MonteCarloConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.confidence < 1.0):
-            raise ConfigError(f"confidence must be in (0, 1), got {self.confidence}")
+        # Above 1 - 2**-52, 0.5 + confidence / 2 rounds to 1: an infinite quantile.
+        if not (0.0 < self.confidence and 0.5 + self.confidence / 2 < 1.0):
+            raise ConfigError(
+                f"confidence must be in (0, 1 - 2**-52], got {self.confidence}"
+            )
         if not 0 < self.relative_halfwidth < math.inf:
             raise ConfigError(
                 f"relative halfwidth must be finite and > 0, got "
@@ -387,14 +390,16 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every requested strategy against paired seeds and collect results."""
     ctx = context or SimulationContext(net, roads, households)
+    given = (net, roads, households)
+    if any(a is not b for a, b in zip((ctx.net, ctx.roads, ctx.households), given)):
+        raise ConfigError("the context was built from other network objects")
     strategies = list(strategies)
     by_strategy: dict[Strategy, MonteCarloResult] = {}
     for strategy in strategies:
         by_strategy[strategy] = run_monte_carlo(
             mc_config,
             lambda seed: run_replication(
-                ctx.net, ctx.roads, ctx.households, scenario, fragility,
-                repair_model, strategy, teams, seed, context=ctx,
+                ctx, scenario, fragility, repair_model, teams, seed, strategy
             ),
         )
     baseline = (

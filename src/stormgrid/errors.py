@@ -48,9 +48,13 @@ class SimulationCapError(StormGridError):
     def __init__(self, hour, snapshot):
         self.hour = hour
         self.snapshot = snapshot
+        unfueled = ", ".join(snapshot["unfueled_plants"]) or "none"
         super().__init__(
-            f"replication did not terminate within {hour} hours "
-            f"({len(snapshot.get('unrepaired', []))} components unrepaired)"
+            f"replication did not terminate within {hour} hours: nothing changes "
+            f"from hour {snapshot['frozen_at']} to the cap "
+            f"({len(snapshot['unrepaired'])} components unrepaired, "
+            f"{snapshot['dark_lights']} traffic lights dark, "
+            f"plants without fuel: {unfueled})"
         )
 
 

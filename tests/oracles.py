@@ -12,6 +12,10 @@ inputs, and the scalar wind lookup and curves of the failure draw. The
 scalar crew road node here is the reference for the package's vectorised
 one. The percentile bootstrap below is the statistic the acceptance criteria
 use to compare strategies; the package needs no bootstrap of its own.
+
+The hourly replication is the exception: it composes the package's own
+layer functions, but visits every hour and decides when a run is frozen by
+its own rule, as the engine did before it stepped from event to event.
 """
 
 import math
@@ -20,10 +24,12 @@ from collections import Counter, deque
 import mpmath as mp
 import numpy as np
 
-from stormgrid.errors import ConfigError
+from stormgrid import engine
+from stormgrid.errors import ConfigError, SimulationCapError
 from stormgrid.fragility import failure_probability, p_fail_substation
 from stormgrid.hazard import wind_at
 from stormgrid.network import ComponentKind, DamageLevel
+from stormgrid.restoration import JobTable, complete_due_jobs, start_pending_jobs
 
 mp.mp.dps = 40
 
@@ -310,6 +316,124 @@ def reference_walk(order, components, depth_by_link, scenario, crews_by_id, avai
         available -= crews_by_id[cid]
         started.append(cid)
     return started
+
+
+def hourly_replication(
+    ctx, scenario, fragility, repair_model, teams, seed, strategy, hard_cap
+):
+    """``engine.run_replication`` as one loop over every hour.
+
+    Hour 0, job completions and link openings schedule; hour 0, completions
+    and fuel restorations remeasure service. Once every road link that will
+    open has opened and no job runs, nothing changes, so the run raises the
+    cap error at once; so it does at the cap itself.
+    """
+    if teams < 1:
+        raise ConfigError(f"need at least one restoration team, got {teams}")
+    idx = ctx.index
+    ids = idx.ids
+
+    failure_rng = np.random.default_rng([seed, engine._STREAM_FAILURES])
+    schedule_rng = np.random.default_rng([seed, engine._STREAM_SCHEDULING])
+
+    link_from, plant_from = engine.road_schedule(ctx, scenario, hard_cap)
+    roads_settled = int(link_from[link_from <= hard_cap].max(initial=0))
+
+    failed = engine.sample_failures(ctx.net, scenario, fragility, failure_rng)
+    jobs = JobTable(len(ids), teams)
+    for cid in failed:
+        comp = ctx.net.components[cid]
+        spec = repair_model.spec_for(comp.kind, comp.damage_level)
+        if spec.crews > teams:
+            raise ConfigError(
+                f"failed component {cid} needs {spec.crews} crews but the pool has "
+                f"{teams} teams, so its job could never start (seed {seed})"
+            )
+        c = idx.pos[cid]
+        jobs.add(
+            c, spec, np.random.default_rng([seed, engine._STREAM_REPAIR, c])
+        )
+    pending = jobs.crews > 0
+    alive = ~pending
+
+    events = [(0, "failed", cid) for cid in failed]
+    rows = []
+    last_change = 0
+
+    for hour in range(hard_cap + 1):
+        completed = complete_due_jobs(jobs, hour)
+        alive[completed] = True
+        for c in completed.tolist():
+            events.append((hour, "repaired", ids[c]))
+
+        passable = link_from <= hour
+        n_passable = int(np.count_nonzero(passable))
+        opened = bool((link_from == hour).any())
+        if completed.size or opened:
+            last_change = hour
+
+        restored = idx.plant_idx[plant_from == hour]
+        events += [(hour, "fuel_restored", ids[c]) for c in restored.tolist()]
+
+        if hour == 0 or completed.size or restored.size:
+            powered = idx.powered_mask(alive, idx.plant_idx[plant_from <= hour])
+            hh_powered = powered[ctx.hh_attach]
+            light_powered = powered[ctx.light_feed]
+            q_hh = float(hh_powered.mean()) if hh_powered.size else 1.0
+            q_tl = float(light_powered.mean()) if light_powered.size else 1.0
+
+        if pending.any() and jobs.free > 0 and (
+            hour == 0 or completed.size or opened
+        ):
+            order = ctx.prioritizer.order(
+                strategy,
+                pending,
+                passable,
+                schedule_rng,
+                hh_powered=hh_powered,
+                light_powered=light_powered,
+            )
+            started = start_pending_jobs(
+                jobs, order, ctx.comp_link, passable, scenario, hour
+            )
+            pending[started] = False
+            for c in started.tolist():
+                events.append((hour, "job_started", ids[c]))
+
+        n_failed = len(ids) - int(np.count_nonzero(alive))
+        rows.append(
+            (hour, q_hh, q_tl, n_failed, n_passable, jobs.free,
+             int(jobs.crews[jobs.running].sum()))
+        )
+
+        if n_failed == 0 and q_hh >= 1.0 and q_tl >= 1.0:
+            break
+        if hour == hard_cap or (hour >= roads_settled and not jobs.running.size):
+            raise SimulationCapError(
+                hard_cap,
+                {
+                    "unrepaired": sorted(ids[c] for c in np.flatnonzero(pending))
+                    + sorted(ids[c] for c in jobs.running),
+                    "q_households": q_hh,
+                    "q_traffic_lights": q_tl,
+                    "dark_lights": int(np.count_nonzero(~light_powered)),
+                    "unfueled_plants": [
+                        ids[c] for c in idx.plant_idx[plant_from > hour].tolist()
+                    ],
+                    "passable_links": n_passable,
+                    "frozen_at": last_change,
+                    "strategy": strategy.value,
+                    "seed": seed,
+                },
+            )
+
+    return engine.ReplicationResult(
+        seed=seed,
+        strategy=strategy,
+        records=np.array(rows, dtype=engine.RECORD_DTYPE).view(np.recarray),
+        events=events,
+        initial_failures=failed,
+    )
 
 
 def bootstrap_mean_ci(

@@ -88,8 +88,8 @@ def matrix(default_testbed):
         trl, trl_tl, q100_hh, q100_tl, horizons = [], [], [], [], []
         for seed in SEEDS:
             res = run_replication(
-                net, roads, households, hazard, cfg.fragility, cfg.repair,
-                strategy, teams=teams, seed=seed, context=ctx,
+                ctx, hazard, cfg.fragility, cfg.repair,
+                teams=teams, seed=seed, strategy=strategy,
             )
             for rec in res.records:
                 if rec.crews_available + rec.crews_in_use != teams:

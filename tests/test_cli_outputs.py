@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from stormgrid import cli
 from stormgrid.cli import load_scenario, main, parse_cli
 from stormgrid.engine import (
     MonteCarloConfig,
@@ -574,6 +575,30 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert "bad_scenario.json" in err and "bad_power.txt" not in err
 
+    def test_confidence_with_infinite_quantile_exits_2_before_networks(
+        self, testbed_files, tmp_path, capsys, monkeypatch
+    ):
+        # 0.5 + c / 2 rounds to 1.0, so the normal quantile is infinite and
+        # every half-width would be too; the networks are never loaded
+        def not_loaded(*args):
+            raise AssertionError("networks loaded")
+
+        monkeypatch.setattr(cli, "load_networks", not_loaded)
+        rc = main([
+            "simulate",
+            "--power", str(testbed_files["power"]),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(testbed_files["scenario"]),
+            "--strategy", "distance",
+            "--teams", "6",
+            "--confidence", "0.9999999999999999",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        assert "confidence" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_light_without_plant_path_exits_2_before_simulating(
         self, testbed_files, tmp_path, capsys
     ):
@@ -657,7 +682,11 @@ class TestMainEndToEnd:
     def test_light_never_fueled_exits_2(self, tmp_path, capsys):
         rc, out = self._dark_light_run(tmp_path, 1e5)
         assert rc == 2
-        assert "did not terminate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "did not terminate" in err
+        # the message says why: frozen at hour 0, one light dark, P2 unfueled
+        assert "from hour 0 to the cap" in err
+        assert "1 traffic lights dark" in err and "without fuel: P2" in err
         assert not (out / "summary.json").exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
@@ -730,8 +759,8 @@ class TestPinnedOutputs:
         )
         cfg = load_scenario(files["scenario"])
         res = run_replication(
-            net, roads, hh, cfg.hazard, cfg.fragility, cfg.repair,
-            Strategy.TRAFFIC_LIGHT_BASED, 8, 0,
+            SimulationContext(net, roads, hh), cfg.hazard, cfg.fragility,
+            cfg.repair, 8, 0, Strategy.TRAFFIC_LIGHT_BASED,
         )
         assert (16, "fuel_restored", "GEN0") in res.events
         actual = hashlib.sha256(json.dumps(res.events).encode()).hexdigest()

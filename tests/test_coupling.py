@@ -190,8 +190,8 @@ class TestPlantOperational:
         assign_nearest_road_links(net.components, roads)
         sc = HazardScenario(wind_mph=0.0, initial_runoff_in=12.0)
         res = run_replication(
-            net, roads, hh, sc, FragilityConfig(), RepairModel(),
-            Strategy.DISTANCE_BASED, teams=1, seed=0,
+            SimulationContext(net, roads, hh), sc, FragilityConfig(), RepairModel(),
+            teams=1, seed=0, strategy=Strategy.DISTANCE_BASED,
         )
         assert res.initial_failures == []
         assert full_restoration_hour(res.records.q_households) == 16

@@ -51,8 +51,8 @@ def run_small(small_testbed, wind, strategy, seed, teams=8, deps=True, hard_cap=
         crew_access_dependence=deps,
     )
     return run_replication(
-        net, roads, households, hazard, cfg.fragility, cfg.repair,
-        strategy, teams=teams, seed=seed, hard_cap=hard_cap, context=ctx,
+        ctx, hazard, cfg.fragility, cfg.repair,
+        teams=teams, seed=seed, strategy=strategy, hard_cap=hard_cap,
     )
 
 
@@ -142,8 +142,8 @@ class TestScriptedChain:
             initial_runoff_in=0.0,
         )
         res = run_replication(
-            net, roads, hh, hazard, FragilityConfig(), RepairModel(),
-            Strategy.DISTANCE_BASED, teams=4, seed=11,
+            SimulationContext(net, roads, hh), hazard, FragilityConfig(),
+            RepairModel(), teams=4, seed=11, strategy=Strategy.DISTANCE_BASED,
         )
         assert res.initial_failures == ["CO"]
         assert res.records[0].q_households == pytest.approx(2 / 5)
@@ -171,15 +171,15 @@ class TestScriptedChain:
         )
         with pytest.raises(ConfigError) as err:
             run_replication(
-                net, roads, hh, hazard, FragilityConfig(), RepairModel(),
-                Strategy.DISTANCE_BASED, teams=3, seed=11,
+                SimulationContext(net, roads, hh), hazard, FragilityConfig(),
+                RepairModel(), teams=3, seed=11, strategy=Strategy.DISTANCE_BASED,
             )
         message = str(err.value)
         assert "LN" in message and "4 crews" in message and "3 teams" in message
         # the same draw with a pool that fits runs to full restoration
         res = run_replication(
-            net, roads, hh, hazard, FragilityConfig(), RepairModel(),
-            Strategy.DISTANCE_BASED, teams=4, seed=11,
+            SimulationContext(net, roads, hh), hazard, FragilityConfig(),
+            RepairModel(), teams=4, seed=11, strategy=Strategy.DISTANCE_BASED,
         )
         assert "LN" in res.initial_failures
         assert res.records[-1].q_households == 1.0
@@ -188,9 +188,10 @@ class TestScriptedChain:
         net, roads, hh = self._chain()
         with pytest.raises(ConfigError, match="at least one restoration team"):
             run_replication(
-                net, roads, hh, HazardScenario(wind_mph=0.0, initial_runoff_in=0.0),
-                FragilityConfig(), RepairModel(), Strategy.DISTANCE_BASED,
-                teams=0, seed=0,
+                SimulationContext(net, roads, hh),
+                HazardScenario(wind_mph=0.0, initial_runoff_in=0.0),
+                FragilityConfig(), RepairModel(),
+                teams=0, seed=0, strategy=Strategy.DISTANCE_BASED,
             )
 
 
@@ -210,9 +211,9 @@ def run_unreachable_fuel(**kwargs):
     assign_nearest_road_links(net.components, roads)
     hazard = HazardScenario(wind_mph=0.0, initial_runoff_in=0.0)
     return run_replication(
-        net, roads, hh, hazard,
-        FragilityConfig(), RepairModel(), Strategy.DISTANCE_BASED,
-        teams=2, seed=0, **kwargs,
+        SimulationContext(net, roads, hh), hazard,
+        FragilityConfig(), RepairModel(),
+        teams=2, seed=0, strategy=Strategy.DISTANCE_BASED, **kwargs,
     )
 
 
@@ -253,12 +254,14 @@ class TestHardCap:
             ],
             initial_runoff_in=0.0,
         )
-        args = (net, roads, hh, hazard, FragilityConfig(), RepairModel(),
-                Strategy.COMPONENT_BASED)
-        full = run_replication(*args, teams=1, seed=0)
+        args = (SimulationContext(net, roads, hh), hazard, FragilityConfig(),
+                RepairModel())
+        full = run_replication(*args, teams=1, seed=0,
+                               strategy=Strategy.COMPONENT_BASED)
         cap = 3
         with pytest.raises(SimulationCapError) as err:
-            run_replication(*args, teams=1, seed=0, hard_cap=cap)
+            run_replication(*args, teams=1, seed=0,
+                            strategy=Strategy.COMPONENT_BASED, hard_cap=cap)
         seen = {
             kind: {cid for hour, k, cid in full.events if k == kind and hour <= cap}
             for kind in ("failed", "job_started", "repaired")
@@ -347,3 +350,22 @@ class TestRunExperiment:
                 for s in Strategy
             }
             assert len(sets) == 1
+
+    def test_context_of_another_network_rejected(self, small_testbed):
+        # a toy network passed beside the testbed's context would run the
+        # testbed; only a context built from the objects given is accepted
+        *_, cfg, ctx = small_testbed
+        net, roads, hh = radial_net()
+        mc = MonteCarloConfig(min_replications=2, max_replications=2)
+        with pytest.raises(ConfigError, match="other network objects"):
+            run_experiment(
+                net, roads, hh, cfg.hazard, cfg.fragility, cfg.repair,
+                [Strategy.DISTANCE_BASED], teams=8, mc_config=mc, context=ctx,
+            )
+        own = SimulationContext(net, roads, hh)
+        exp = run_experiment(
+            net, roads, hh, HazardScenario(wind_mph=0.0), FragilityConfig(),
+            RepairModel(), [Strategy.DISTANCE_BASED], teams=8, mc_config=mc,
+            context=own,
+        )
+        assert exp.by_strategy[Strategy.DISTANCE_BASED].n() == 2

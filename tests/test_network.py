@@ -11,7 +11,7 @@ from stormgrid.errors import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormgrid.engine import run_replication
+from stormgrid.engine import SimulationContext, run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
 from stormgrid.network import assign_nearest_road_links, load_networks
@@ -206,8 +206,8 @@ def scripted_chain(mph_by_x, lights=(), households=True):
 
 def run_chain(net, roads, hh, hazard, seed=0):
     return run_replication(
-        net, roads, hh, hazard, FragilityConfig(), RepairModel(),
-        Strategy.DISTANCE_BASED, teams=4, seed=seed,
+        SimulationContext(net, roads, hh), hazard, FragilityConfig(), RepairModel(),
+        teams=4, seed=seed, strategy=Strategy.DISTANCE_BASED,
     )
 
 

@@ -479,8 +479,8 @@ class TestScheduling:
         for strategy in Strategy:
             for seed in range(4):
                 res = run_replication(
-                    net, roads, hh, hazard, FragilityConfig(), RepairModel(),
-                    strategy, teams=4, seed=seed,
+                    SimulationContext(net, roads, hh), hazard, FragilityConfig(),
+                    RepairModel(), teams=4, seed=seed, strategy=strategy,
                 )
                 failed = res.initial_failures
                 assert {f"CD{i}" for i in range(6)} <= set(failed)

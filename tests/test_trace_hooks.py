@@ -34,14 +34,14 @@ def test_tracer_counts_every_layer(monkeypatch):
         wind_mph=[WindCell(-10, -10, 140, 10, 0.0), WindCell(140, -10, 800, 10, 160.0)],
         initial_runoff_in=3.0,
     )
+    ctx = engine.SimulationContext(net, roads, hh)
     tracer = spans.Tracer()
     tracer.install()
     try:
         for strategy in Strategy:
             # positional, as the tracer reads the strategy from argument 7
             engine.run_replication(
-                net, roads, hh, hazard, FragilityConfig(), RepairModel(),
-                strategy, 4, 0,
+                ctx, hazard, FragilityConfig(), RepairModel(), 4, 0, strategy,
             )
     finally:
         tracer.uninstall()
