@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -300,8 +299,9 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
 
     Bare flags (no subcommand) are treated as ``simulate`` flags. A
     ``simulate`` namespace lists its strategies once each, in the order
-    given; a ``make-testbed`` namespace carries its parameters as
-    ``testbed``.
+    given and carries its Monte Carlo settings, checked by
+    :class:`MonteCarloConfig`, as ``mc_config``; a ``make-testbed``
+    namespace carries its parameters as ``testbed``.
     """
     if argv and argv[0].startswith("-"):
         argv = ["simulate"] + list(argv)
@@ -311,18 +311,17 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
         parser.error("a subcommand is required: simulate, make-testbed, plot-data")
 
     if ns.command == "simulate":
-        if not (0.0 < ns.confidence < 1.0):
-            raise ConfigError(f"--confidence must be in (0, 1), got {ns.confidence}")
-        if not 0 < ns.rel_halfwidth < math.inf:
-            raise ConfigError(
-                f"--rel-halfwidth must be finite and > 0, got {ns.rel_halfwidth}"
-            )
         if ns.teams < 1:
             raise ConfigError("--teams must be >= 1")
         if ns.seed < 0:
             raise ConfigError("--seed must be >= 0")
-        if ns.min_reps < 2 or ns.max_reps < ns.min_reps:
-            raise ConfigError("need --min-reps >= 2 and --max-reps >= --min-reps")
+        ns.mc_config = MonteCarloConfig(
+            confidence=ns.confidence,
+            relative_halfwidth=ns.rel_halfwidth,
+            min_replications=ns.min_reps,
+            max_replications=ns.max_reps,
+            base_seed=ns.seed,
+        )
         for flag in ("power", "roads", "couplings", "scenario"):
             p = Path(getattr(ns, flag))
             if not p.is_file():
@@ -342,13 +341,6 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
 
 
 def _run_simulate(cfg: argparse.Namespace) -> int:
-    mc_config = MonteCarloConfig(
-        confidence=cfg.confidence,
-        relative_halfwidth=cfg.rel_halfwidth,
-        min_replications=cfg.min_reps,
-        max_replications=cfg.max_reps,
-        base_seed=cfg.seed,
-    )
     scenario_cfg = load_scenario(cfg.scenario)
     net, roads, households = load_networks(cfg.power, cfg.roads, cfg.couplings)
     hazard = replace(
@@ -367,7 +359,7 @@ def _run_simulate(cfg: argparse.Namespace) -> int:
         scenario_cfg.repair,
         cfg.strategies,
         cfg.teams,
-        mc_config,
+        cfg.mc_config,
     )
     written = emit_outputs(experiment, cfg.out)
     summaries = build_summaries(experiment)

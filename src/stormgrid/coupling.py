@@ -61,15 +61,9 @@ class RoadIndex:
         return connected_components(self.subgraph(passable), directed=False)[1]
 
     def distances_from(self, sources: list[int], passable: np.ndarray) -> np.ndarray:
-        """Min road distance from any source node, +inf where unreachable."""
-        if not sources:
-            return np.full(self.n_nodes(), np.inf)
-        return dijkstra(
-            self.subgraph(passable),
-            directed=False,
-            indices=sources,
-            min_only=True,
-        )
+        """Road distance from each source node, one row per source, +inf
+        where unreachable."""
+        return dijkstra(self.subgraph(passable), directed=False, indices=sources)
 
     def nearest_node(self, location: tuple[float, float]) -> int:
         d2 = ((self.coords - np.asarray(location)) ** 2).sum(axis=1)

@@ -36,12 +36,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import network
 from .coupling import RoadIndex, crew_road_nodes, fuel_reachable, resolve_fuel_nodes
 from .errors import ConfigError, SimulationCapError
 from .fragility import FragilityConfig, RepairModel, sample_failures
 from .hazard import HazardScenario, drain_step, initial_flood, passable_mask
 from .metrics import full_restoration_hour, normal_ci_halfwidth
-from .network import Household, PowerNetwork, RoadNetwork, nearest_link_positions
+from .network import Household, PowerNetwork, RoadNetwork
 from .restoration import (
     JobTable,
     Prioritizer,
@@ -89,12 +90,12 @@ class SimulationContext:
 
     Holds the network, the integer indexes, the prioritizer (with its
     road-distance caches) and the position arrays it and the replications
-    read: per component its nearest road link and crew road node, per
-    household and light its attachment, and per plant (in the order of the
-    index's ``plant_idx``) its road node. Nothing here changes during a
-    replication except those caches. The hour-0 failure draw still writes
-    substation damage levels onto the components, so replications run one
-    at a time per context.
+    read: per component its nearest road link (mapped here, when the context
+    is built) and crew road node, per household and light its attachment,
+    and per plant (in the order of the index's ``plant_idx``) its road node.
+    Nothing here changes during a replication except those caches. The
+    hour-0 failure draw still writes substation damage levels onto the
+    components, so replications run one at a time per context.
     """
 
     def __init__(
@@ -108,7 +109,7 @@ class SimulationContext:
         self.households = households
         self.index = idx = net.index
         self.road_index = rix = RoadIndex(roads)
-        self.comp_link = nearest_link_positions(net, roads)
+        self.comp_link = network.assign_nearest_road_links(idx.location, roads)
         self.comp_node = crew_road_nodes(rix, self.comp_link, idx.location)
         self.hh_attach = np.array(
             [idx.pos[hh.attachment] for hh in households], dtype=np.intp
@@ -290,20 +291,19 @@ class MonteCarloConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        # Each message names the simulate flag that sets the field.
         # Above 1 - 2**-52, 0.5 + confidence / 2 rounds to 1: an infinite quantile.
         if not (0.0 < self.confidence and 0.5 + self.confidence / 2 < 1.0):
             raise ConfigError(
-                f"confidence must be in (0, 1 - 2**-52], got {self.confidence}"
+                f"--confidence must be in (0, 1 - 2**-52], got {self.confidence}"
             )
         if not 0 < self.relative_halfwidth < math.inf:
             raise ConfigError(
-                f"relative halfwidth must be finite and > 0, got "
+                f"--rel-halfwidth must be finite and > 0, got "
                 f"{self.relative_halfwidth}"
             )
-        if self.min_replications < 2:
-            raise ConfigError("need at least 2 replications for a CI")
-        if self.max_replications < self.min_replications:
-            raise ConfigError("max replications below the minimum")
+        if self.min_replications < 2 or self.max_replications < self.min_replications:
+            raise ConfigError("need --min-reps >= 2 and --max-reps >= --min-reps")
 
 
 @dataclass

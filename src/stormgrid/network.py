@@ -57,7 +57,6 @@ class PowerComponent:
     location: tuple[float, float]
     # Substation damage from the latest failure draw; None when undamaged.
     damage_level: DamageLevel | None = None
-    nearest_road_link: str | None = None
 
 
 @dataclass
@@ -130,8 +129,9 @@ class PowerIndex:
     mask per query.
 
     It is the one owner of the grid's tables: the edges become one array of
-    position pairs that feeds the CSR ``adjacency`` (sorted columns), the
-    breadth-first forest rooted at the plants and the ``radial`` count.
+    position pairs, ``edges``, that feeds the CSR ``adjacency`` (sorted
+    columns), the meshed service search, the breadth-first forest rooted at
+    the plants and the ``radial`` count.
     Per component it holds the kind code (a position in ``KINDS``), the
     location as an ``(n, 2)`` array, the parent in that forest, the nearest
     substation at or above it (-1 for none), and the preorder interval
@@ -150,7 +150,7 @@ class PowerIndex:
         comps = net.components.values()
         self.kind = np.array([code[c.kind] for c in comps], dtype=np.intp)
         self.location = np.array([c.location for c in comps], dtype=float).reshape(n, 2)
-        ends = np.array(
+        self.edges = ends = np.array(
             [(self.pos[a], self.pos[b]) for a, b in net.edges], dtype=np.intp
         ).reshape(-1, 2)
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
@@ -229,12 +229,15 @@ class PowerIndex:
         component (one that does not conduct, or a plant that is not live)
         lies on its forest path, that is, when no dead interval covers its
         ``tin``; the covers are counted with a difference array. A meshed
-        grid labels the connected components of the conducting subgraph.
+        grid labels the connected components of the edges whose two ends
+        conduct; a component is powered when it shares a label with a live,
+        conducting plant (a component that does not conduct keeps a label of
+        its own).
         """
         if plant_idx is None:
             plant_idx = self.plant_idx
+        n = len(self.ids)
         if self.radial:
-            n = len(self.ids)
             dead = ~conducting
             dead[self.plant_idx] = True
             dead[plant_idx] = ~conducting[plant_idx]
@@ -244,19 +247,16 @@ class PowerIndex:
                 - np.bincount(self.tout[d] + 1, minlength=n + 1)
             )
             return self.reached & (cover[self.tin] == 0)
-        powered = np.zeros(len(self.ids), dtype=bool)
-        plant_idx = plant_idx[conducting[plant_idx]]
-        if plant_idx.size == 0:
-            return powered
-        alive_nodes = np.flatnonzero(conducting)
-        sub = self.adjacency[alive_nodes][:, alive_nodes]
-        n_comp, labels = connected_components(sub, directed=False)
-        pos_in_alive = np.full(len(self.ids), -1, dtype=np.intp)
-        pos_in_alive[alive_nodes] = np.arange(alive_nodes.size)
-        plant_labels = set(labels[pos_in_alive[plant_idx]].tolist())
-        hit = np.isin(labels, list(plant_labels))
-        powered[alive_nodes[hit]] = True
-        return powered
+        u, v = self.edges.T
+        keep = conducting[u] & conducting[v]
+        graph = csr_matrix(
+            (np.ones(np.count_nonzero(keep), dtype=np.int8), (u[keep], v[keep])),
+            shape=(n, n),
+        )
+        n_comp, labels = connected_components(graph, directed=False)
+        hit = np.zeros(n_comp, dtype=bool)
+        hit[labels[plant_idx[conducting[plant_idx]]]] = True
+        return hit[labels]
 
 
 # ---------------------------------------------------------------------------
@@ -387,39 +387,29 @@ def load_coupling_file(path: str | Path):
     return households, lights, fuel
 
 
-def assign_nearest_road_links(
-    components: dict[str, PowerComponent], roads: RoadNetwork
-) -> None:
-    """Map every component to the road link with the nearest midpoint.
+def assign_nearest_road_links(locations: np.ndarray, roads: RoadNetwork) -> np.ndarray:
+    """Position in ``roads.link_ids`` of the road link with the nearest
+    midpoint, per ``(x, y)`` row of ``locations``.
 
     Euclidean distance to link midpoints; exact ties break to the lowest
-    link id so repeated loads are reproducible.
+    link id so the mapping is reproducible.
     """
     link_ids = roads.link_ids
     # Sorting by id makes argmin pick the lowest id among equal distances.
-    order = sorted(range(len(link_ids)), key=lambda i: link_ids[i])
+    order = sorted(range(len(link_ids)), key=link_ids.__getitem__)
     mids = np.empty((len(link_ids), 2))
     for row, i in enumerate(order):
         link = roads.links[link_ids[i]]
         (x1, y1) = roads.intersections[link.endpoints[0]]
         (x2, y2) = roads.intersections[link.endpoints[1]]
         mids[row] = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
-    comp_list = list(components.values())
-    locs = np.array([c.location for c in comp_list])
+    nearest = np.empty(len(locations), dtype=np.intp)
     chunk = 512
-    for start in range(0, len(comp_list), chunk):
-        block = locs[start : start + chunk]
+    for start in range(0, len(locations), chunk):
+        block = locations[start : start + chunk]
         d2 = ((block[:, None, :] - mids[None, :, :]) ** 2).sum(axis=2)
-        best = np.argmin(d2, axis=1)
-        for j, comp in enumerate(comp_list[start : start + chunk]):
-            comp.nearest_road_link = link_ids[order[best[j]]]
-
-
-def nearest_link_positions(net: PowerNetwork, roads: RoadNetwork) -> np.ndarray:
-    """Position in ``roads.link_ids`` of each component's nearest road link."""
-    link_pos = {lid: i for i, lid in enumerate(roads.link_ids)}
-    comps = net.components.values()
-    return np.array([link_pos[c.nearest_road_link] for c in comps], dtype=np.intp)
+        nearest[start : start + chunk] = np.take(order, np.argmin(d2, axis=1))
+    return nearest
 
 
 def load_networks(
@@ -482,8 +472,6 @@ def load_networks(
                 inter, f"fuel record at {coupling_path}:{line_no} names a missing intersection"
             )
         fuel_source[plant] = inter
-
-    assign_nearest_road_links(components, roads)
 
     net = PowerNetwork(
         components=components,

@@ -94,7 +94,6 @@ class Prioritizer:
         self.comp_node = comp_node
 
         n = len(idx.ids)
-        self.plant_nodes = np.unique(plant_node).tolist()
         self.id_rank = np.empty(n, dtype=np.intp)
         self.id_rank[sorted(range(n), key=idx.ids.__getitem__)] = np.arange(n)
 
@@ -112,6 +111,18 @@ class Prioritizer:
         )
         self.light_feed = light_feed
 
+        # Road distances come from one query per passable set: a row from
+        # each plant node, then one from each substation's node. Each
+        # component reads the row of its substation; the extra last slot of
+        # row_of answers substation_of's -1 (none) with -1.
+        plant_nodes = np.unique(plant_node).tolist()
+        subs = np.flatnonzero(self.is_sub)
+        self.sources = plant_nodes + comp_node[subs].tolist()
+        self.n_plant_rows = len(plant_nodes)
+        row_of = np.full(n + 1, -1, dtype=np.intp)
+        row_of[subs] = np.arange(len(plant_nodes), len(self.sources))
+        self.sub_row = row_of[idx.substation_of]
+
         self._dist_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def _distances(self, passable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,13 +130,12 @@ class Prioritizer:
         key = passable.tobytes()
         cached = self._dist_cache.get(key)
         if cached is None:
-            rix = self.road_index
-            to_plant = rix.distances_from(self.plant_nodes, passable)[self.comp_node]
+            rows = self.road_index.distances_from(self.sources, passable)
+            rows = rows[:, self.comp_node]
+            to_plant = rows[: self.n_plant_rows].min(axis=0, initial=np.inf)
             to_sub = np.full(len(self.comp_node), np.inf)
-            for s in np.flatnonzero(self.is_sub):
-                below = self.index.substation_of == s
-                from_s = rix.distances_from([int(self.comp_node[s])], passable)
-                to_sub[below] = from_s[self.comp_node[below]]
+            has = self.sub_row >= 0
+            to_sub[has] = rows[self.sub_row[has], has]
             cached = (to_plant, to_sub)
             self._dist_cache[key] = cached
         return cached

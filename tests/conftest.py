@@ -10,6 +10,7 @@ from stormgrid.network import (
     RoadLink,
     RoadNetwork,
     TrafficLight,
+    assign_nearest_road_links,
 )
 
 KIND = {
@@ -54,6 +55,13 @@ def make_roads(intersections, links, lights=()):
             for lid, inter, comp in lights
         },
     )
+
+
+def nearest_links(net, roads):
+    """Component id -> id of its nearest road link, from the positions
+    :func:`assign_nearest_road_links` returns."""
+    link = assign_nearest_road_links(net.index.location, roads)
+    return {cid: roads.link_ids[i] for cid, i in zip(net.index.ids, link.tolist())}
 
 
 @pytest.fixture

@@ -4,14 +4,15 @@ These run before and beside the package code: plain-python breadth-first
 reachability for connectivity, the breadth-first forest over neighbour lists,
 high-precision curve evaluation through mpmath for the fragility formulas,
 the failure draw walked one component at a time over the package's scalar
-curves, restoration orderings restated with
-Python ``sorted``, the scheduling walk restated over ids, and the closed
-form for the hour a flooded link reopens. They share no code with the
-package beyond the network index and the road distance query they take as
-inputs, and the scalar wind lookup and curves of the failure draw. The
-scalar crew road node here is the reference for the package's vectorised
-one. The percentile bootstrap below is the statistic the acceptance criteria
-use to compare strategies; the package needs no bootstrap of its own.
+curves, restoration orderings restated with Python ``sorted`` over
+single-source road distances, the scheduling walk restated over ids, and
+the closed form for the hour a flooded link reopens. They share no code
+with the package beyond the network index they take as input, and the
+scalar wind lookup and curves of the failure draw. The nearest road link
+scanned link by link and the scalar crew road node here are the references
+for the package's vectorised ones. The percentile bootstrap below is the
+statistic the acceptance criteria use to compare strategies; the package
+needs no bootstrap of its own.
 
 The hourly replication is the exception: it composes the package's own
 layer functions, but visits every hour and decides when a run is frozen by
@@ -23,6 +24,8 @@ from collections import Counter, deque
 
 import mpmath as mp
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from stormgrid import engine
 from stormgrid.errors import ConfigError, SimulationCapError
@@ -164,13 +167,31 @@ def reference_failures(net, scenario, config, rng):
     return failed
 
 
-def component_road_node(component, roads):
+def nearest_link(component, roads):
+    """Id of the road link whose midpoint lies nearest the component.
+
+    Squared Euclidean distance to each link's midpoint, scanned link by link;
+    an exact tie goes to the lowest link id.
+    """
+    cx, cy = component.location
+    best = None
+    for lid, link in roads.links.items():
+        (ax, ay), (bx, by) = (roads.intersections[e] for e in link.endpoints)
+        dx, dy = cx - (ax + bx) / 2.0, cy - (ay + by) / 2.0
+        key = (dx * dx + dy * dy, lid)
+        if best is None or key < best:
+            best = key
+    return best[1]
+
+
+def component_road_node(component, roads, link=None):
     """Road intersection id where crews reach the component.
 
-    The endpoint of the component's nearest road link that lies closer to the
-    component; ties go to the endpoint with the lower intersection id.
+    The endpoint of road link ``link`` (by default the component's nearest
+    link) that lies closer to the component; ties go to the endpoint with
+    the lower intersection id.
     """
-    link = roads.links[component.nearest_road_link]
+    link = roads.links[link or nearest_link(component, roads)]
     a, b = sorted(link.endpoints)
     ax, ay = roads.intersections[a]
     bx, by = roads.intersections[b]
@@ -211,8 +232,29 @@ _TIER = {
 }
 
 
+def road_distances(roads, passable, source):
+    """Shortest road distance from intersection ``source`` to each
+    intersection id over the links that ``passable`` (a mask over
+    ``roads.link_ids``) keeps; the shortest of parallel links counts."""
+    nodes = list(roads.intersections)
+    pos = {nid: i for i, nid in enumerate(nodes)}
+    shortest = {}
+    for lid, ok in zip(roads.link_ids, passable):
+        if ok:
+            a, b = sorted(pos[e] for e in roads.links[lid].endpoints)
+            length = roads.links[lid].length_m
+            shortest[a, b] = min(length, shortest.get((a, b), math.inf))
+    ends = list(shortest)
+    graph = csr_matrix(
+        (list(shortest.values()), ([a for a, _ in ends], [b for _, b in ends])),
+        shape=(len(nodes), len(nodes)),
+    )
+    dist = dijkstra(graph, directed=False, indices=pos[source])
+    return dict(zip(nodes, dist.tolist()))
+
+
 def reference_order(
-    strategy, pending, net, roads, households, road_index, passable, rng,
+    strategy, pending, net, roads, households, passable, rng,
     hh_powered, light_powered,
 ):
     """Pending ids in repair order under ``strategy`` (its string value).
@@ -220,13 +262,17 @@ def reference_order(
     Each tier is sorted by ``(key, id)``; component-based keeps transmission
     in network order and shuffles distribution with one
     ``rng.permutation``. ``passable`` is the boolean mask over road links
-    used for road distances.
+    used for road distances, each found from one source at a time.
     """
     idx = net.index
     comps = net.components
-    node = {
-        cid: road_index.pos[component_road_node(comps[cid], roads)] for cid in idx.ids
-    }
+    node = {}
+
+    def node_of(cid):
+        if cid not in node:
+            node[cid] = component_road_node(comps[cid], roads)
+        return node[cid]
+
     sub_of = {
         cid: idx.ids[s] if s >= 0 else None
         for cid, s in zip(idx.ids, idx.substation_of)
@@ -262,22 +308,23 @@ def reference_order(
             + [dist[i] for i in rng.permutation(len(dist))]
         )
 
-    to_plant = road_index.distances_from(
-        sorted({node[p] for p in net.plants}), passable
-    )
+    from_plants = [road_distances(roads, passable, node_of(p)) for p in net.plants]
     from_sub = {}
+
+    def to_plant(c):
+        return min((d[node_of(c)] for d in from_plants), default=math.inf)
 
     def to_own_sub(c):
         s = sub_of[c]
         if s is None:
-            return float("inf")
+            return math.inf
         if s not in from_sub:
-            from_sub[s] = road_index.distances_from([node[s]], passable)
-        return from_sub[s][node[c]]
+            from_sub[s] = road_distances(roads, passable, node_of(s))
+        return from_sub[s][node_of(c)]
 
     def blocks(members, sub_down):
         return (
-            ranked(tier("trans", members), lambda c: to_plant[node[c]])
+            ranked(tier("trans", members), to_plant)
             + ranked(tier("sub", members), lambda c: -sub_down[c])
             + ranked(tier("dist", members), to_own_sub)
         )
@@ -297,7 +344,9 @@ def first_passable_hour(depth_in, scenario):
     return math.ceil(excess / scenario.drainage_in_per_hr)
 
 
-def reference_walk(order, components, depth_by_link, scenario, crews_by_id, available):
+def reference_walk(
+    order, components, roads, depth_by_link, scenario, crews_by_id, available
+):
     """Ids that one scheduling pass starts, in start order.
 
     ``order`` is the priority list as ids and ``depth_by_link`` maps road
@@ -308,7 +357,7 @@ def reference_walk(order, components, depth_by_link, scenario, crews_by_id, avai
     """
     started = []
     for cid in order:
-        depth = depth_by_link[components[cid].nearest_road_link]
+        depth = depth_by_link[nearest_link(components[cid], roads)]
         if scenario.crew_access_dependence and depth > scenario.passable_threshold_in:
             continue
         if crews_by_id[cid] > available:

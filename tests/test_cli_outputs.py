@@ -23,6 +23,8 @@ from stormgrid.outputs import TIMESERIES_HEADER, emit_outputs, plot_data
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
+from .conftest import nearest_links
+
 
 @pytest.fixture(scope="module")
 def testbed_files(tmp_path_factory):
@@ -86,6 +88,31 @@ class TestParseCli:
     def test_confidence_out_of_range(self, testbed_files):
         with pytest.raises(ConfigError):
             parse_cli(self._simulate_args(testbed_files, ["--confidence", "1.5"]))
+
+    def test_confidence_with_infinite_quantile_rejected(self, testbed_files):
+        # 0.5 + c / 2 rounds to 1.0: the rule of MonteCarloConfig, applied here
+        with pytest.raises(ConfigError, match="confidence"):
+            parse_cli(
+                self._simulate_args(testbed_files, ["--confidence", "0.9999999999999999"])
+            )
+
+    @pytest.mark.parametrize(
+        "reps", [["--min-reps", "1"], ["--min-reps", "5", "--max-reps", "4"]]
+    )
+    def test_replication_counts_checked(self, testbed_files, reps):
+        with pytest.raises(ConfigError, match="min-reps"):
+            parse_cli(self._simulate_args(testbed_files, reps))
+
+    def test_monte_carlo_settings_built(self, testbed_files):
+        cfg = parse_cli(
+            self._simulate_args(
+                testbed_files, ["--min-reps", "3", "--max-reps", "5", "--seed", "4"]
+            )
+        )
+        assert cfg.mc_config == MonteCarloConfig(
+            confidence=0.90, relative_halfwidth=0.10, min_replications=3,
+            max_replications=5, base_seed=4,
+        )
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_rel_halfwidth_must_be_finite_positive(self, testbed_files, value):
@@ -191,7 +218,7 @@ class TestTestbed:
             testbed_files["power"], testbed_files["roads"], testbed_files["couplings"]
         )
         assert len(households) == 80
-        assert all(c.nearest_road_link for c in net.components.values())
+        assert all(nearest_links(net, roads).values())
         assert all_households_powered(net, households)
 
     def test_deterministic_bytes(self, tmp_path):

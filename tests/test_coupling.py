@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from stormgrid.coupling import (
     RoadIndex,
@@ -16,7 +17,7 @@ from stormgrid.engine import SimulationContext, road_schedule, run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, drain_step, initial_flood, passable_mask
 from stormgrid.metrics import full_restoration_hour
-from stormgrid.network import assign_nearest_road_links, load_networks
+from stormgrid.network import load_networks
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
@@ -67,7 +68,6 @@ def fuel_ok(net, roads, flood, sc):
 def plant_with_roads(fuel_node="N3_3"):
     roads = grid_roads()
     net, _ = make_power([("P", "plant", 0, 0)], [], fuel={"P": fuel_node})
-    assign_nearest_road_links(net.components, roads)
     return net, roads
 
 
@@ -145,7 +145,6 @@ class TestFuelRoute:
             [("L1", "A", "B", 100), ("L2", "C", "D", 100)],
         )
         net, _ = make_power([("P", "plant", 0, 0)], [], fuel={"P": "C"})
-        assign_nearest_road_links(net.components, roads)
         sc = HazardScenario(initial_runoff_in=0.0)
         assert not fuel_ok(net, roads, initial_flood(sc, roads.link_ids), sc)
 
@@ -168,7 +167,6 @@ class TestFuelRoute:
             fuel={f"P{i}": nodes[f] for i, (_, _, f) in enumerate(plants)
                   if f is not None},
         )
-        assign_nearest_road_links(net.components, roads)
         fuel = Fuel(net, roads, HazardScenario())
         reachable = fuel.reachable(np.array(open_links))
         by_id = dict(zip(roads.link_ids, open_links))
@@ -187,7 +185,6 @@ class TestPlantOperational:
             [("P", "plant", 0, 0), ("D", "pole", 10, 0)], [("P", "D")],
             households=["D"], fuel={"P": "N3_3"},
         )
-        assign_nearest_road_links(net.components, roads)
         sc = HazardScenario(wind_mph=0.0, initial_runoff_in=12.0)
         res = run_replication(
             SimulationContext(net, roads, hh), sc, FragilityConfig(), RepairModel(),
@@ -275,7 +272,6 @@ class TestRoadSchedule:
             fuel={f"P{i}": nodes[f] for i, (_, _, f) in enumerate(plants)
                   if f is not None},
         )
-        assign_nearest_road_links(net.components, roads)
         # whole drain steps above the threshold land on it exactly for the
         # binary-exact drainage rates; the cap's own step count, a few units
         # in the last place either side, just meets or just misses the cap
@@ -304,11 +300,11 @@ class TestRoadSchedule:
         )
 
 
-def crew_nodes(comps, roads):
-    """:func:`crew_road_nodes` over ``comps`` as intersection ids."""
+def crew_nodes(comps, roads, links):
+    """:func:`crew_road_nodes` over ``comps``, reached through the road
+    link ids ``links``, as intersection ids."""
     index = RoadIndex(roads)
-    link_pos = {lid: i for i, lid in enumerate(roads.link_ids)}
-    comp_link = np.array([link_pos[c.nearest_road_link] for c in comps], dtype=np.intp)
+    comp_link = np.array([roads.link_ids.index(lid) for lid in links], dtype=np.intp)
     locations = np.array([c.location for c in comps], dtype=float)
     return [index.node_ids[n] for n in crew_road_nodes(index, comp_link, locations)]
 
@@ -320,10 +316,9 @@ class TestRoadNodes:
             [("X", "pole", 10, 0), ("Y", "pole", 90, 0), ("Z", "pole", 50, 7)], []
         )
         comps = list(net.components.values())
-        for comp in comps:
-            comp.nearest_road_link = "H0_0"  # N0_0 (0,0) to N0_1 (100,0)
+        links = ["H0_0"] * 3  # N0_0 (0,0) to N0_1 (100,0)
         # Z sits on the perpendicular bisector: the tie goes to the lower id
-        assert crew_nodes(comps, roads) == ["N0_0", "N0_1", "N0_0"]
+        assert crew_nodes(comps, roads, links) == ["N0_0", "N0_1", "N0_0"]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -363,10 +358,9 @@ class TestRoadNodes:
             specs.append((f"C{k}", "pole", x, y, f"L{link}"))
         net, _ = make_power([s[:4] for s in specs], [])
         comps = list(net.components.values())
-        for comp, spec in zip(comps, specs):
-            comp.nearest_road_link = spec[4]
-        assert crew_nodes(comps, roads) == [
-            component_road_node(c, roads) for c in comps
+        links = [spec[4] for spec in specs]
+        assert crew_nodes(comps, roads, links) == [
+            component_road_node(c, roads, link) for c, link in zip(comps, links)
         ]
 
     def test_default_testbed_matches_scalar_reference(self, tmp_path):
@@ -375,9 +369,13 @@ class TestRoadNodes:
             files["power"], files["roads"], files["couplings"]
         )
         ctx = SimulationContext(net, roads, households)
+        # the links are the package's; test_network checks them against
+        # the oracle's nearest link
         want = [
-            ctx.road_index.pos[component_road_node(net.components[cid], roads)]
-            for cid in net.index.ids
+            ctx.road_index.pos[
+                component_road_node(net.components[cid], roads, roads.link_ids[link])
+            ]
+            for cid, link in zip(net.index.ids, ctx.comp_link.tolist())
         ]
         assert ctx.comp_node.tolist() == want
 
@@ -395,8 +393,48 @@ class TestRoadNodes:
     def test_fuel_falls_back_to_plant_node(self):
         roads = grid_roads()
         net, _ = make_power([("P", "plant", 0, 0)], [])
-        assign_nearest_road_links(net.components, roads)
         fuel = Fuel(net, roads, HazardScenario())
         assert fuel.fuel_node.tolist() == fuel.ctx.plant_node.tolist()
         node = component_road_node(net.components["P"], roads)
         assert fuel.ctx.road_index.node_ids[fuel.fuel_node[0]] == node
+
+
+class TestRoadDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.booleans(), min_size=24, max_size=24),
+        st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+                 min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)), max_size=3),
+    )
+    def test_one_call_per_passable_set(self, open_links, plants, subs):
+        # plants, then substations each feeding one pole
+        roads = grid_roads()
+        comps = [(f"P{i}", "plant", x, y) for i, (x, y) in enumerate(plants)]
+        edges = []
+        for i, (x, y) in enumerate(subs):
+            comps += [(f"S{i}", "substation", x, y), (f"D{i}", "pole", y, x)]
+            edges += [("P0", f"S{i}"), (f"S{i}", f"D{i}")]
+        net, _ = make_power(comps, edges)
+        ctx = SimulationContext(net, roads, [])
+        rix, prio = ctx.road_index, ctx.prioritizer
+        passable = np.array(open_links)
+
+        rows = rix.distances_from(prio.sources, passable)
+        assert rows.shape == (len(prio.sources), rix.n_nodes())
+        for source, row in zip(prio.sources, rows):
+            np.testing.assert_array_equal(row, rix.distances_from([source], passable)[0])
+
+        to_plant, to_sub = prio._distances(passable)
+        plant_nodes = sorted(set(ctx.plant_node.tolist()))
+        np.testing.assert_array_equal(
+            to_plant,
+            dijkstra(rix.subgraph(passable), directed=False, indices=plant_nodes,
+                     min_only=True)[ctx.comp_node],
+        )
+        sub_of = net.index.substation_of
+        for c, s in enumerate(sub_of.tolist()):
+            want = np.inf
+            if s >= 0:
+                want = rix.distances_from([ctx.comp_node[s]], passable)[0][ctx.comp_node[c]]
+            assert to_sub[c] == want

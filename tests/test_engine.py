@@ -20,7 +20,7 @@ from stormgrid.errors import ConfigError, SimulationCapError
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
 from stormgrid.metrics import full_restoration_hour, resilience_loss
-from stormgrid.network import assign_nearest_road_links, load_networks
+from stormgrid.network import load_networks
 from stormgrid.restoration import Strategy, complete_due_jobs
 from stormgrid.testbed import TestbedParams, generate_testbed
 
@@ -127,7 +127,6 @@ class TestScriptedChain:
             {f"N{i}": (i * 100.0, 0.0) for i in range(5)},
             [(f"L{i}", f"N{i}", f"N{i+1}", 100.0) for i in range(4)],
         )
-        assign_nearest_road_links(net.components, roads)
         return net, roads, hh
 
     def test_conductor_dip_and_recovery(self):
@@ -208,7 +207,6 @@ def run_unreachable_fuel(**kwargs):
         {"A": (0, 0), "B": (100, 0), "ISLAND": (900, 0), "FAR": (1000, 0)},
         [("L1", "A", "B", 100), ("L2", "ISLAND", "FAR", 100)],
     )
-    assign_nearest_road_links(net.components, roads)
     hazard = HazardScenario(wind_mph=0.0, initial_runoff_in=0.0)
     return run_replication(
         SimulationContext(net, roads, hh), hazard,

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from stormgrid.engine import SimulationContext, run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
-from stormgrid.network import assign_nearest_road_links, load_networks
+from stormgrid.network import load_networks
 from stormgrid.restoration import Strategy
+from stormgrid.testbed import TestbedParams, generate_testbed
 
-from .conftest import make_power, make_roads
-from .oracles import bfs_powered, reference_forest
+from .conftest import make_power, make_roads, nearest_links
+from .oracles import bfs_powered, nearest_link, reference_forest
 
 
 class TestLoadNetworks:
@@ -33,9 +34,10 @@ class TestLoadNetworks:
         assert net.fuel_source == {"P": "A"}
 
     def test_nearest_road_link_assigned(self, toy_files):
-        net, _, _ = load_networks(*toy_files)
-        assert net.components["P"].nearest_road_link == "L1"
-        assert net.components["D"].nearest_road_link == "L1"
+        net, roads, _ = load_networks(*toy_files)
+        links = nearest_links(net, roads)
+        assert links["P"] == "L1"
+        assert links["D"] == "L1"
 
     def test_dangling_coupling_reference_named(self, toy_files, tmp_path):
         power, roads, _ = toy_files
@@ -196,7 +198,6 @@ def scripted_chain(mph_by_x, lights=(), households=True):
         [(f"L{i}", f"N{i}", f"N{i+1}", 100.0) for i in range(4)],
         lights=lights,
     )
-    assign_nearest_road_links(net.components, roads)
     cells = [
         WindCell(x - 50, -10, x + 49, 10, mph_by_x.get(x, 0.0))
         for x in range(0, 500, 100)
@@ -418,6 +419,13 @@ class TestPoweredFractions:
         assert all(res.records.q_traffic_lights == 1.0)
 
 
+@pytest.fixture(scope="module")
+def default_testbed(tmp_path_factory):
+    files = generate_testbed(TestbedParams(), tmp_path_factory.mktemp("tb_default"))
+    net, roads, _ = load_networks(files["power"], files["roads"], files["couplings"])
+    return net, roads, nearest_links(net, roads)
+
+
 class TestNearestRoadLink:
     def test_tie_breaks_to_lowest_link_id(self):
         # component equidistant from both link midpoints
@@ -426,11 +434,8 @@ class TestNearestRoadLink:
             {"A": (0, 0), "B": (100, 0), "C": (200, 0)},
             [("LB", "A", "B", 100), ("LA", "B", "C", 100)],
         )
-        from stormgrid.network import assign_nearest_road_links
-
-        assign_nearest_road_links(net.components, roads)
         # midpoints at (50,0) and (150,0) are equidistant from (100,10)
-        assert net.components["P"].nearest_road_link == "LA"
+        assert nearest_links(net, roads)["P"] == "LA"
 
     def test_picks_closest_midpoint(self):
         net, _ = make_power([("P", "plant", 40, 0)], [])
@@ -438,7 +443,43 @@ class TestNearestRoadLink:
             {"A": (0, 0), "B": (100, 0), "C": (200, 0)},
             [("L1", "A", "B", 100), ("L2", "B", "C", 100)],
         )
-        from stormgrid.network import assign_nearest_road_links
+        assert nearest_links(net, roads)["P"] == "L1"
 
-        assign_nearest_road_links(net.components, roads)
-        assert net.components["P"].nearest_road_link == "L1"
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_integer_grids(self, data):
+        # Intersections on an integer grid and components on the half-integer
+        # one put many link midpoints at exactly equal distance; shuffled
+        # intersection and link ids make id order differ from file order.
+        n = data.draw(st.integers(1, 4))
+        names = data.draw(st.permutations([f"I{k}" for k in range(n * n)]))
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n * n - 1), st.integers(0, n * n - 1)),
+                     min_size=1, max_size=12)
+        )
+        link_ids = data.draw(st.permutations([f"L{k}" for k in range(len(pairs))]))
+        roads = make_roads(
+            {name: (k % n, k // n) for k, name in enumerate(names)},
+            [(lid, names[a], names[b], 1.0) for lid, (a, b) in zip(link_ids, pairs)],
+        )
+        spots = data.draw(
+            st.lists(st.tuples(st.integers(-1, 2 * n), st.integers(-1, 2 * n)),
+                     min_size=1, max_size=20)
+        )
+        net, _ = make_power(
+            [(f"C{k}", "pole", x / 2, y / 2) for k, (x, y) in enumerate(spots)], []
+        )
+        assert nearest_links(net, roads) == {
+            cid: nearest_link(comp, roads) for cid, comp in net.components.items()
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_default_testbed_matches_oracle(self, default_testbed, data):
+        # about a quarter of its components have several nearest midpoints
+        net, roads, links = default_testbed
+        ids = data.draw(st.lists(st.sampled_from(net.index.ids), min_size=1, max_size=10))
+        assert [links[cid] for cid in ids] == [
+            nearest_link(net.components[cid], roads) for cid in ids
+        ]
+

@@ -20,9 +20,7 @@ from stormgrid.fragility import (
     FragilityConfig, RepairModel, RepairSpec, sample_failures,
 )
 from stormgrid.hazard import HazardScenario
-from stormgrid.network import (
-    ComponentKind, DamageLevel, assign_nearest_road_links,
-)
+from stormgrid.network import ComponentKind, DamageLevel
 from stormgrid.restoration import Strategy
 
 from .conftest import make_power, make_roads
@@ -97,7 +95,6 @@ def worlds(draw):
     net, hh = make_power(comps, edges, households=households, fuel=fuel)
     light_feeds = draw(st.lists(st.sampled_from(feeds), max_size=3))
     roads = grid_roads(len(light_feeds), light_feeds)
-    assign_nearest_road_links(net.components, roads)
 
     depth = st.sampled_from([0.0, 1.0, 2.0, 2.3, 3.5, 6.0, 12.0, 1e5])
     scenario = HazardScenario(
@@ -185,7 +182,6 @@ def test_cap_error_names_the_last_change():
         [("P", "plant", 0, 0), ("D", "pole", 10, 0)], [("P", "D")], households=["D"]
     )
     roads = grid_roads(1, ["D"])
-    assign_nearest_road_links(net.components, roads)
     repair = RepairModel(rows={(ComponentKind.POLE, None): RepairSpec(30.0, 0.0, 1)})
     with pytest.raises(SimulationCapError) as err:
         run_replication(

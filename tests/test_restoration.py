@@ -14,7 +14,6 @@ from stormgrid.network import (
     ComponentKind,
     DamageLevel,
     TrafficLight,
-    assign_nearest_road_links,
     load_networks,
 )
 from stormgrid.restoration import (
@@ -25,7 +24,7 @@ from stormgrid.restoration import (
 )
 from stormgrid.testbed import TestbedParams, generate_testbed
 
-from .conftest import make_power, make_roads
+from .conftest import make_power, make_roads, nearest_links
 from .oracles import reference_order, reference_walk
 
 
@@ -53,7 +52,6 @@ def radial_net(n_poles=4, lights=()):
     households = [f"PO{i}" for i in range(n_poles) for _ in range(2)]
     net, hh = make_power(comps, edges, households=households, fuel={"GEN": "N0"})
     roads = road_line(n=n_poles + 2)
-    assign_nearest_road_links(net.components, roads)
     for lid, inter, comp in lights:
         roads.traffic_lights[lid] = TrafficLight(
             id=lid, intersection=inter, feed_component=comp
@@ -169,7 +167,6 @@ class TestPriorityOrder:
         households = ["POA"] + ["POB"] * 3
         net, hh = make_power(comps, edges, households=households)
         roads = road_line()
-        assign_nearest_road_links(net.components, roads)
         failed = ["SUBA", "SUBB"]
         order = order_of(Strategy.DISTANCE_BASED, failed, net, roads, hh)
         assert order == ["SUBB", "SUBA"]
@@ -228,7 +225,7 @@ class TestOrderMatchesReference:
             np.random.default_rng(seed), hh_powered, light_powered,
         )
         want = reference_order(
-            strategy.value, pending, net, roads, hh, ctx.road_index, passable,
+            strategy.value, pending, net, roads, hh, passable,
             np.random.default_rng(seed), hh_powered, light_powered,
         )
         assert [net.index.ids[c] for c in got] == want
@@ -280,7 +277,7 @@ class TestWalkMatchesReference:
         )
         started = start_pending_jobs(jobs, order, ctx.comp_link, passable, sc, 0)
         want = reference_walk(
-            [ids[c] for c in order], net.components,
+            [ids[c] for c in order], net.components, roads,
             dict(zip(roads.link_ids, depths)), sc, crews_by_id, available,
         )
         assert [ids[c] for c in started] == want
@@ -364,10 +361,9 @@ class TestScheduling:
         net, roads, hh = radial_net()
         failed = ["SUB", "PO0", "PO1"]
         net.components["SUB"].damage_level = DamageLevel.SEVERE
-        sub_link = net.components["SUB"].nearest_road_link
-        assert sub_link not in {
-            net.components[c].nearest_road_link for c in ("PO0", "PO1")
-        }
+        links = nearest_links(net, roads)
+        sub_link = links["SUB"]
+        assert sub_link not in {links[c] for c in ("PO0", "PO1")}
         sc = HazardScenario(initial_runoff_in={sub_link: 12.0}, runoff_default_in=0.0)
         flood = initial_flood(sc, roads.link_ids)
         crews = Crews(net, roads, hh, failed, 20, flood, sc)
@@ -399,7 +395,7 @@ class TestScheduling:
         net, roads, hh = radial_net()
         failed = ["TL0", "PO2"]
         # flood only the link nearest the transmission line
-        line_link = net.components["TL0"].nearest_road_link
+        line_link = nearest_links(net, roads)["TL0"]
         sc = HazardScenario(
             initial_runoff_in={line_link: 12.0}, runoff_default_in=0.0
         )

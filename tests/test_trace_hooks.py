@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` replaces stormgrid functions where their callers look
 them up and counts calls at those boundaries. A refactor that renames,
 inlines or re-signs one of them makes its traced metrics read zero or fail;
-this runs one small replication per strategy under the tracer.
+this runs one small replication per strategy under the tracer, and builds
+one context under it.
 ``perfbench/checks.py`` reads result fields row by row; a smoke experiment
 checks that it still finds what it reads.
 """
@@ -61,6 +62,23 @@ def test_tracer_counts_every_layer(monkeypatch):
     assert c["coupling.labels_for_calls"] > 0
     assert c["network.powered_mask_calls"] > 0
     assert not hasattr(engine.run_replication, "__wrapped__")  # uninstalled
+
+
+def test_context_build_traces_the_link_assignment(monkeypatch):
+    # the traced set-up takes the median of this span's times, so the
+    # context must look the function up on the network module
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    net, roads, hh = radial_net()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        engine.SimulationContext(net, roads, hh)
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("network.assign_nearest_road_links") == 1
 
 
 def test_benchmark_checks_read_results(monkeypatch, tmp_path):
