@@ -41,12 +41,22 @@ class RoadIndex:
             self.lengths[i] = link.length_m
         self.link_ends = ends
         self.coords = np.array([roads.intersections[n] for n in self.node_ids])
+        # A route between two intersections takes the shortest of their
+        # parallel links, so each query keeps one link per node pair: the
+        # shortest passable one, first in this order (pair, length, position).
+        lo, hi = np.sort(ends, axis=1).T
+        self._pair = lo * len(self.node_ids) + hi
+        self._by_pair = np.lexsort((self.lengths, self._pair))
 
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
     def subgraph(self, passable: np.ndarray) -> csr_matrix:
-        keep = np.flatnonzero(passable)
+        """Symmetric length matrix of the passable links, the shortest of
+        parallel ones only (the matrix would add their lengths)."""
+        keep = self._by_pair[passable[self._by_pair]]
+        pair = self._pair[keep]
+        keep = np.sort(keep[np.diff(pair, prepend=-1) != 0])
         n = self.n_nodes()
         a = self.link_ends[keep, 0]
         b = self.link_ends[keep, 1]

@@ -1,25 +1,28 @@
 """Event-stepped simulation loop, replication driver, and Monte Carlo aggregation.
 
-Each replication, given only its context: decide when each road link turns
-passable and each plant regains fuel, sample wind failures once at hour 0,
-then visit hour 0 and each hour a job completes or a link opens (nothing
-changes in between); repair, remeasure service and start jobs under the
-chosen strategy until every failed component is repaired and every
-household and traffic light has power (a light can wait for its plant's
-fuel after the last repair), or stop with the hour-cap error once no next
-visit falls within the cap. The state is one record array, a row per hour
-from hour 0 (each visit's row repeats until the next), whose
-``q_households`` and ``q_traffic_lights`` columns are the two Q(t) curves.
-A failure draw containing a job larger than the whole crew pool is rejected
-at hour 0, since that job could never start.
+Each replication, given its context and two strategy-independent inputs,
+the road schedule (when each road link turns passable and each plant
+regains fuel) and the hour-0 draw (the failed components, with each one's
+crew demand and repair hours), visits hour 0 and each hour a job completes
+or a link opens (nothing changes in between); it repairs, remeasures
+service and starts jobs under the chosen strategy until every failed
+component is repaired and every household and traffic light has power (a
+light can wait for its plant's fuel after the last repair), or stops with
+the hour-cap error once no next visit falls within the cap. The state is
+one record array, a row per hour from hour 0 (each visit's row repeats
+until the next), whose ``q_households`` and ``q_traffic_lights`` columns
+are the two Q(t) curves. A failure draw containing a job larger than the
+whole crew pool is rejected at hour 0, since that job could never start.
 
-After the hour-0 draw a replication works only with positions and arrays it
-owns: a conducting mask over components, a mask of pending (failed, not yet
-started) components, the job table (crews and repair hours drawn at hour 0,
-and the running jobs), and the first passable hour of each road link and
-fueled hour of each plant. The draw itself writes only substation damage
-levels onto the shared component objects; ids reappear only in the events,
-the initial failure list and the hour-cap error.
+``run_experiment`` makes the road schedule once per experiment and each
+seed's draw once, the first time a strategy reaches that seed, and every
+strategy's replication of the seed reads them; both are read-only arrays.
+A replication run on its own makes both itself, with the same functions.
+Beyond them a replication works only with positions and arrays it owns: a
+conducting mask over components, a mask of pending (failed, not yet
+started) components and the running jobs. The draw itself writes only
+substation damage levels onto the shared component objects; ids reappear
+only in the events, the initial failure list and the hour-cap error.
 
 Seeding is layered so comparisons are paired: the failure draw comes from a
 substream of the replication seed that no strategy-dependent code touches,
@@ -30,9 +33,10 @@ identical per-component repair times.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from .restoration import (
     Prioritizer,
     Strategy,
     complete_due_jobs,
+    draw_repairs,
     start_pending_jobs,
 )
 
@@ -94,8 +99,9 @@ class SimulationContext:
     is built) and crew road node, per household and light its attachment,
     and per plant (in the order of the index's ``plant_idx``) its road node.
     Nothing here changes during a replication except those caches. The
-    hour-0 failure draw still writes substation damage levels onto the
-    components, so replications run one at a time per context.
+    hour-0 failure draw is made once per seed and shared by the strategies,
+    but it still writes substation damage levels onto the components, so
+    replications run one at a time per context.
     """
 
     def __init__(
@@ -127,12 +133,14 @@ class SimulationContext:
 
 def road_schedule(
     ctx: SimulationContext, scenario: HazardScenario, hard_cap: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First hour each road link is passable and each plant has fuel, or
-    ``hard_cap + 1``. Floodwater only drains, so both hold from then on; the
-    depths drain with the hourly float operations, and fuel is checked only
-    at hours a link opens while some plant lacks it. The walk stops once
-    every link is open or too deep to drain to the threshold by the cap."""
+    ``hard_cap + 1``, and the distinct hours within the cap at which some
+    link opens, ascending; all three read-only. Floodwater only drains, so
+    both hold from then on; the depths drain with the hourly float
+    operations, and fuel is checked only at hours a link opens while some
+    plant lacks it. The walk stops once every link is open or too deep to
+    drain to the threshold by the cap."""
     fuel_node = resolve_fuel_nodes(ctx.net, scenario, ctx.road_index, ctx.plant_node)
     never = hard_cap + 1
     depth = initial_flood(scenario, ctx.road_index.link_ids)
@@ -157,7 +165,65 @@ def road_schedule(
             plant_from[unfueled & fueled] = hour
         if ((link_from <= hour) | hopeless).all():
             break
-    return link_from, plant_from
+    # Road and fuel state change only at the hours a link opens.
+    opens = np.unique(link_from[link_from <= hard_cap])
+    return _read_only(link_from, plant_from, opens)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def hour_zero_draw(
+    ctx: SimulationContext,
+    scenario: HazardScenario,
+    fragility: FragilityConfig,
+    repair_model: RepairModel,
+    teams: int,
+    seed: int,
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The seed's failed ids in network order, and per component position
+    the crew demand and repair hours (zero for intact components), both
+    arrays read-only. Raises :class:`ConfigError` for a pool of no teams or
+    for a failed component whose job needs more crews than the pool."""
+    if teams < 1:
+        raise ConfigError(f"need at least one restoration team, got {teams}")
+    idx = ctx.index
+    failure_rng = np.random.default_rng([seed, _STREAM_FAILURES])
+    failed = sample_failures(ctx.net, scenario, fragility, failure_rng)
+    jobs = []
+    for cid in failed:
+        comp = ctx.net.components[cid]
+        spec = repair_model.spec_for(comp.kind, comp.damage_level)
+        if spec.crews > teams:
+            raise ConfigError(
+                f"failed component {cid} needs {spec.crews} crews but the pool has "
+                f"{teams} teams, so its job could never start (seed {seed})"
+            )
+        c = idx.pos[cid]
+        jobs.append((c, spec, np.random.default_rng([seed, _STREAM_REPAIR, c])))
+    crews, duration = draw_repairs(len(idx.ids), jobs)
+    return (tuple(failed), *_read_only(crews, duration))
+
+
+def _powered_share(powered: np.ndarray) -> float:
+    """Share of a service mask that is powered, 1.0 when it is empty. The
+    count is exact and the one division rounds as ``mean`` does."""
+    return np.count_nonzero(powered) / powered.size if powered.size else 1.0
+
+
+class SharedInputs(NamedTuple):
+    """A replication's strategy-independent inputs: :func:`road_schedule`'s
+    three arrays, then :func:`hour_zero_draw`'s failed ids and two arrays."""
+
+    link_from: np.ndarray
+    plant_from: np.ndarray
+    opens: np.ndarray
+    failed: tuple[str, ...]
+    crews: np.ndarray
+    duration: np.ndarray
 
 
 def run_replication(
@@ -169,33 +235,27 @@ def run_replication(
     seed: int,
     strategy: Strategy,
     hard_cap: int = HARD_CAP_HOURS,
+    *,
+    shared: SharedInputs | None = None,
 ) -> ReplicationResult:
-    """One seeded end-to-end replication; deterministic given (seed, config)."""
-    if teams < 1:
-        raise ConfigError(f"need at least one restoration team, got {teams}")
+    """One seeded end-to-end replication; deterministic given (seed, config).
+
+    ``shared`` carries the road schedule and hour-0 draw made from these
+    same arguments (:func:`run_experiment` makes each once and passes it to
+    every strategy); without it the replication makes both itself.
+    """
+    if shared is None:
+        shared = SharedInputs(
+            *road_schedule(ctx, scenario, hard_cap),
+            *hour_zero_draw(ctx, scenario, fragility, repair_model, teams, seed),
+        )
+    link_from, plant_from, opens, failed, crews, duration = shared
     idx = ctx.index
     ids = idx.ids
 
-    failure_rng = np.random.default_rng([seed, _STREAM_FAILURES])
     schedule_rng = np.random.default_rng([seed, _STREAM_SCHEDULING])
-
-    link_from, plant_from = road_schedule(ctx, scenario, hard_cap)
-    # Road and fuel state change only at the hours a link opens.
-    opens = np.unique(link_from[link_from <= hard_cap])
-
-    failed = sample_failures(ctx.net, scenario, fragility, failure_rng)
-    jobs = JobTable(len(ids), teams)
-    for cid in failed:
-        comp = ctx.net.components[cid]
-        spec = repair_model.spec_for(comp.kind, comp.damage_level)
-        if spec.crews > teams:
-            raise ConfigError(
-                f"failed component {cid} needs {spec.crews} crews but the pool has "
-                f"{teams} teams, so its job could never start (seed {seed})"
-            )
-        c = idx.pos[cid]
-        jobs.add(c, spec, np.random.default_rng([seed, _STREAM_REPAIR, c]))
-    pending = jobs.crews > 0
+    jobs = JobTable(crews, duration, teams)
+    pending = crews > 0
     alive = ~pending
 
     events: list[tuple[int, str, str]] = [(0, "failed", cid) for cid in failed]
@@ -219,8 +279,8 @@ def run_replication(
             powered = idx.powered_mask(alive, idx.plant_idx[plant_from <= hour])
             hh_powered = powered[ctx.hh_attach]
             light_powered = powered[ctx.light_feed]
-            q_hh = float(hh_powered.mean()) if hh_powered.size else 1.0
-            q_tl = float(light_powered.mean()) if light_powered.size else 1.0
+            q_hh = _powered_share(hh_powered)
+            q_tl = _powered_share(light_powered)
 
         if pending.any() and jobs.free > 0:
             order = ctx.prioritizer.order(
@@ -274,7 +334,7 @@ def run_replication(
         strategy=strategy,
         records=records.view(np.recarray),
         events=events,
-        initial_failures=failed,
+        initial_failures=list(failed),
     )
 
 
@@ -394,14 +454,24 @@ def run_experiment(
     if any(a is not b for a, b in zip((ctx.net, ctx.roads, ctx.households), given)):
         raise ConfigError("the context was built from other network objects")
     strategies = list(strategies)
-    by_strategy: dict[Strategy, MonteCarloResult] = {}
-    for strategy in strategies:
-        by_strategy[strategy] = run_monte_carlo(
-            mc_config,
-            lambda seed: run_replication(
-                ctx, scenario, fragility, repair_model, teams, seed, strategy
-            ),
+    schedule = road_schedule(ctx, scenario, HARD_CAP_HOURS)
+    draws: dict[int, tuple] = {}  # seed -> hour_zero_draw, made on first use
+
+    def run_one(strategy: Strategy, seed: int) -> ReplicationResult:
+        if seed not in draws:
+            draws[seed] = hour_zero_draw(
+                ctx, scenario, fragility, repair_model, teams, seed
+            )
+        # positional, with the strategy 7th, as the benchmark's tracer reads it
+        return run_replication(
+            ctx, scenario, fragility, repair_model, teams, seed, strategy,
+            shared=SharedInputs(*schedule, *draws[seed]),
         )
+
+    by_strategy = {
+        strategy: run_monte_carlo(mc_config, functools.partial(run_one, strategy))
+        for strategy in strategies
+    }
     baseline = (
         Strategy.COMPONENT_BASED
         if Strategy.COMPONENT_BASED in by_strategy

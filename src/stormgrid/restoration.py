@@ -40,6 +40,7 @@ reads them off the network objects.
 from __future__ import annotations
 
 import enum
+from typing import Iterable
 
 import numpy as np
 
@@ -204,23 +205,34 @@ class JobTable:
     """Repair jobs indexed by component position.
 
     ``crews`` and ``duration`` are each failed component's crew demand and
-    repair hours, both fixed at hour 0 (zero for intact components).
-    ``running`` holds the positions of the components under repair in the
-    order their jobs started, and ``done_at`` the hour each started job
-    completes; ``free`` counts the crews on no job.
+    repair hours, both fixed at hour 0 (zero for intact components); the
+    table only reads them, so every strategy of a seed can share one pair.
+    The table owns the rest: ``running`` holds the positions of the
+    components under repair in the order their jobs started, ``done_at``
+    the hour each started job completes, and ``free`` counts the crews on
+    no job.
     """
 
-    def __init__(self, n: int, teams: int):
-        self.crews = np.zeros(n, dtype=np.int64)
-        self.duration = np.zeros(n, dtype=np.int64)
-        self.done_at = np.full(n, -1, dtype=np.int64)
+    def __init__(self, crews: np.ndarray, duration: np.ndarray, teams: int):
+        self.crews = crews
+        self.duration = duration
+        self.done_at = np.full(len(crews), -1, dtype=np.int64)
         self.running = np.empty(0, dtype=np.intp)
         self.free = teams
 
-    def add(self, c: int, spec: RepairSpec, rng: np.random.Generator) -> None:
-        """Fix a failed component's crew demand and draw its repair hours."""
-        self.crews[c] = spec.crews
-        self.duration[c] = sample_repair(spec, rng)
+
+def draw_repairs(
+    n: int, jobs: Iterable[tuple[int, RepairSpec, np.random.Generator]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Crew demand and repair hours over ``n`` component positions for the
+    failed components in ``jobs``, (position, spec, generator) triples, each
+    drawing its hours from its own generator; zero elsewhere."""
+    crews = np.zeros(n, dtype=np.int64)
+    duration = np.zeros(n, dtype=np.int64)
+    for c, spec, rng in jobs:
+        crews[c] = spec.crews
+        duration[c] = sample_repair(spec, rng)
+    return crews, duration
 
 
 def complete_due_jobs(jobs: JobTable, hour: int) -> np.ndarray:

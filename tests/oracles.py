@@ -377,32 +377,19 @@ def hourly_replication(
     open has opened and no job runs, nothing changes, so the run raises the
     cap error at once; so it does at the cap itself.
     """
-    if teams < 1:
-        raise ConfigError(f"need at least one restoration team, got {teams}")
     idx = ctx.index
     ids = idx.ids
 
-    failure_rng = np.random.default_rng([seed, engine._STREAM_FAILURES])
     schedule_rng = np.random.default_rng([seed, engine._STREAM_SCHEDULING])
 
-    link_from, plant_from = engine.road_schedule(ctx, scenario, hard_cap)
+    link_from, plant_from, _ = engine.road_schedule(ctx, scenario, hard_cap)
     roads_settled = int(link_from[link_from <= hard_cap].max(initial=0))
 
-    failed = engine.sample_failures(ctx.net, scenario, fragility, failure_rng)
-    jobs = JobTable(len(ids), teams)
-    for cid in failed:
-        comp = ctx.net.components[cid]
-        spec = repair_model.spec_for(comp.kind, comp.damage_level)
-        if spec.crews > teams:
-            raise ConfigError(
-                f"failed component {cid} needs {spec.crews} crews but the pool has "
-                f"{teams} teams, so its job could never start (seed {seed})"
-            )
-        c = idx.pos[cid]
-        jobs.add(
-            c, spec, np.random.default_rng([seed, engine._STREAM_REPAIR, c])
-        )
-    pending = jobs.crews > 0
+    failed, crews, duration = engine.hour_zero_draw(
+        ctx, scenario, fragility, repair_model, teams, seed
+    )
+    jobs = JobTable(crews, duration, teams)
+    pending = crews > 0
     alive = ~pending
 
     events = [(0, "failed", cid) for cid in failed]
@@ -481,7 +468,7 @@ def hourly_replication(
         strategy=strategy,
         records=np.array(rows, dtype=engine.RECORD_DTYPE).view(np.recarray),
         events=events,
-        initial_failures=failed,
+        initial_failures=list(failed),
     )
 
 

@@ -22,7 +22,7 @@ from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
 from .conftest import make_power, make_roads
-from .oracles import bfs_fuel_reachable, component_road_node
+from .oracles import bfs_fuel_reachable, component_road_node, road_distances
 
 
 def grid_roads(n=4, spacing=100.0):
@@ -294,10 +294,11 @@ class TestRoadSchedule:
             fuel_dependence=fuel_dependence,
         )
         ctx = SimulationContext(net, roads, [])
-        link_from, plant_from = road_schedule(ctx, sc, hard_cap)
+        link_from, plant_from, opens = road_schedule(ctx, sc, hard_cap)
         assert (link_from.tolist(), plant_from.tolist()) == reference_schedule(
             net, roads, sc, hard_cap
         )
+        assert opens.tolist() == sorted({h for h in link_from.tolist() if h <= hard_cap})
 
 
 def crew_nodes(comps, roads, links):
@@ -438,3 +439,21 @@ class TestRoadDistances:
             if s >= 0:
                 want = rix.distances_from([ctx.comp_node[s]], passable)[0][ctx.comp_node[c]]
             assert to_sub[c] == want
+
+    @pytest.mark.parametrize(
+        "open_links, want", [((1, 1), 100.0), ((0, 1), 120.0), ((1, 0), 100.0)]
+    )
+    def test_parallel_links_take_the_shortest(self, open_links, want):
+        # two links between the same intersections, listed in both directions
+        roads = make_roads(
+            {"A": (0, 0), "B": (100, 0)},
+            [("SHORT", "A", "B", 100), ("LONG", "B", "A", 120)],
+        )
+        rix = RoadIndex(roads)
+        passable = np.array(open_links, dtype=bool)
+        got = rix.distances_from([rix.pos["A"]], passable)[0]
+        assert got.tolist() == [0.0, want]
+        assert dict(zip(rix.node_ids, got.tolist())) == road_distances(
+            roads, passable, "A"
+        )
+        assert rix.labels_for(passable).tolist() == [0, 0]

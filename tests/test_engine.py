@@ -367,3 +367,107 @@ class TestRunExperiment:
             context=own,
         )
         assert exp.by_strategy[Strategy.DISTANCE_BASED].n() == 2
+
+
+def outcome(rep):
+    return rep.seed, rep.records.tolist(), rep.events, rep.initial_failures
+
+
+class TestSharedDraw:
+    """``run_experiment`` makes the road schedule once and each seed's draw
+    once, and every strategy reads them; no result may change."""
+
+    # (wind, teams): the stopping rule runs 12 replications per strategy at
+    # 65 mph and stops some strategies after 2 at 115 mph
+    CASES = [(65.0, 8), (115.0, 16)]
+    MC = MonteCarloConfig(min_replications=2, max_replications=12,
+                          relative_halfwidth=0.05, base_seed=0)
+
+    def experiment(self, small_testbed, wind, teams, strategies, mc=MC):
+        net, roads, households, cfg, ctx = small_testbed
+        hazard = dataclasses.replace(cfg.hazard, wind_mph=wind)
+        return run_experiment(
+            net, roads, households, hazard, cfg.fragility, cfg.repair,
+            strategies, teams=teams, mc_config=mc, context=ctx,
+        )
+
+    @pytest.mark.parametrize("wind, teams", CASES)
+    def test_experiment_matches_standalone_replications(
+        self, small_testbed, wind, teams
+    ):
+        exp = self.experiment(small_testbed, wind, teams, list(Strategy))
+        for strategy, mc in exp.by_strategy.items():
+            for rep in mc.replications:
+                alone = run_small(small_testbed, wind, strategy, rep.seed, teams)
+                assert outcome(rep) == outcome(alone)
+
+    @pytest.mark.parametrize("wind, teams", CASES)
+    def test_strategy_set_and_order_change_nothing(self, small_testbed, wind, teams):
+        def outcomes(strategies):
+            exp = self.experiment(small_testbed, wind, teams, strategies)
+            return {
+                s: [outcome(rep) for rep in mc.replications]
+                for s, mc in exp.by_strategy.items()
+            }
+
+        together = outcomes(list(Strategy))
+        assert outcomes(list(reversed(Strategy))) == together
+        for strategy in Strategy:
+            assert outcomes([strategy]) == {strategy: together[strategy]}
+
+    def test_stopping_rule_runs_strategies_to_different_counts(self, small_testbed):
+        counts = {
+            len({mc.n() for mc in self.experiment(
+                small_testbed, wind, teams, list(Strategy)).by_strategy.values()})
+            for wind, teams in self.CASES
+        }
+        assert max(counts) > 1
+
+    def test_oversized_job_raises_the_standalone_error(self, small_testbed):
+        # at 65 mph with 3 teams, seed 7 is the first of seeds 5-8 whose
+        # draw holds a job of more than 3 crews
+        with pytest.raises(ConfigError) as alone:
+            run_small(small_testbed, 65.0, Strategy.COMPONENT_BASED, 7, teams=3)
+        mc = MonteCarloConfig(min_replications=4, max_replications=4, base_seed=5)
+        with pytest.raises(ConfigError) as shared:
+            self.experiment(small_testbed, 65.0, 3, list(Strategy), mc)
+        assert "(seed 7)" in str(alone.value)
+        assert str(shared.value) == str(alone.value)
+
+    def test_one_draw_per_seed_and_one_schedule(self, small_testbed, monkeypatch):
+        calls = {"sample_failures": 0, "road_schedule": 0}
+        shared = []
+
+        def counted(name):
+            original = getattr(engine, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, wrapper)
+
+        counted("sample_failures")
+        counted("road_schedule")
+        run_replication = engine.run_replication
+
+        def keep_shared(*args, **kwargs):
+            shared.append(kwargs["shared"])
+            return run_replication(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_replication", keep_shared)
+        exp = self.experiment(small_testbed, 115.0, 16, list(Strategy))
+
+        counts = [mc.n() for mc in exp.by_strategy.values()]
+        assert len(set(counts)) > 1
+        assert calls == {"sample_failures": max(counts), "road_schedule": 1}
+        assert len(shared) == sum(counts)
+        for inputs in shared:
+            assert isinstance(inputs.failed, tuple)
+            for name in ("link_from", "plant_from", "opens", "crews", "duration"):
+                array = getattr(inputs, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 0
+        reps = [rep for mc in exp.by_strategy.values() for rep in mc.replications]
+        assert len({id(rep.initial_failures) for rep in reps}) == len(reps)
+        assert all(type(rep.initial_failures) is list for rep in reps)

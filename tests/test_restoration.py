@@ -20,6 +20,7 @@ from stormgrid.restoration import (
     JobTable,
     Strategy,
     complete_due_jobs,
+    draw_repairs,
     start_pending_jobs,
 )
 from stormgrid.testbed import TestbedParams, generate_testbed
@@ -251,7 +252,8 @@ class TestWalkMatchesReference:
         )
         model = RepairModel()
         available = data.draw(st.integers(0, 20), label="available")
-        jobs = JobTable(len(ids), available)
+        crews = np.zeros(len(ids), dtype=np.int64)
+        jobs = JobTable(crews, np.zeros_like(crews), available)
         crews_by_id = {}
         for cid in pending:
             kind = kinds[cid]
@@ -259,7 +261,7 @@ class TestWalkMatchesReference:
             if kind is ComponentKind.SUBSTATION:
                 level = data.draw(st.sampled_from(list(DamageLevel)), label=cid)
             spec = model.spec_for(kind, level)
-            crews_by_id[cid] = jobs.crews[net.index.pos[cid]] = spec.crews
+            crews_by_id[cid] = crews[net.index.pos[cid]] = spec.crews
         n_links = len(roads.link_ids)
         depths = data.draw(
             st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, 12.0]),
@@ -303,11 +305,12 @@ class Crews:
         self.ctx = SimulationContext(net, roads, hh)
         self.pending = set(failed)
         model, comps = RepairModel(), net.components
-        self.jobs = JobTable(len(net.index.ids), teams)
         rng = np.random.default_rng(0)
-        for c in failed:
-            spec = model.spec_for(comps[c].kind, comps[c].damage_level)
-            self.jobs.add(net.index.pos[c], spec, rng)
+        jobs = [
+            (net.index.pos[c], model.spec_for(comps[c].kind, comps[c].damage_level), rng)
+            for c in failed
+        ]
+        self.jobs = JobTable(*draw_repairs(len(net.index.ids), jobs), teams)
 
     def ids_of(self, positions):
         return [self.net.index.ids[c] for c in positions]
