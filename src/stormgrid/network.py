@@ -21,12 +21,14 @@ whitespace-separated typed columns (see README for the three schemas).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import (
     DanglingReferenceError,
@@ -280,9 +282,12 @@ def _records(path: Path):
 
 def _parse_float(path, line_no, token, what):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(path, line_no, f"bad {what}: {token!r}") from None
+    if not math.isfinite(value):
+        raise FormatError(path, line_no, f"{what} must be finite: {token!r}")
+    return value
 
 
 def load_power_file(path: str | Path) -> tuple[dict[str, PowerComponent], list]:
@@ -387,29 +392,41 @@ def load_coupling_file(path: str | Path):
     return households, lights, fuel
 
 
+#: Candidate links the k-d tree gives each row of assign_nearest_road_links.
+NEAREST_CANDIDATES = 8
+
+
 def assign_nearest_road_links(locations: np.ndarray, roads: RoadNetwork) -> np.ndarray:
     """Position in ``roads.link_ids`` of the road link with the nearest
     midpoint, per ``(x, y)`` row of ``locations``.
 
     Euclidean distance to link midpoints; exact ties break to the lowest
     link id so the mapping is reproducible.
+
+    A k-d tree over the midpoints gives each row its ``NEAREST_CANDIDATES``
+    nearest links; the lowest id among the candidates at the exact minimum
+    squared distance wins. A row whose farthest candidate is as near as its
+    best, within rounding, may have tied links the tree left out, so it is
+    answered by scanning every midpoint.
     """
     link_ids = roads.link_ids
-    # Sorting by id makes argmin pick the lowest id among equal distances.
-    order = sorted(range(len(link_ids)), key=link_ids.__getitem__)
-    mids = np.empty((len(link_ids), 2))
-    for row, i in enumerate(order):
-        link = roads.links[link_ids[i]]
-        (x1, y1) = roads.intersections[link.endpoints[0]]
-        (x2, y2) = roads.intersections[link.endpoints[1]]
-        mids[row] = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
-    nearest = np.empty(len(locations), dtype=np.intp)
-    chunk = 512
-    for start in range(0, len(locations), chunk):
-        block = locations[start : start + chunk]
-        d2 = ((block[:, None, :] - mids[None, :, :]) ** 2).sum(axis=2)
-        nearest[start : start + chunk] = np.take(order, np.argmin(d2, axis=1))
-    return nearest
+    # Rows sorted by id, so the lowest row among equal distances is the
+    # lowest id.
+    order = np.array(sorted(range(len(link_ids)), key=link_ids.__getitem__), dtype=np.intp)
+    ends = np.array(
+        [roads.intersections[e] for lid in link_ids for e in roads.links[lid].endpoints],
+        dtype=float,
+    ).reshape(-1, 2, 2)[order]
+    mids = (ends[:, 0] + ends[:, 1]) / 2.0
+    k = min(NEAREST_CANDIDATES, len(mids))
+    _, cand = cKDTree(mids).query(locations, k=np.arange(1, k + 1))
+    d2 = ((locations[:, None, :] - mids[cand]) ** 2).sum(axis=2)
+    best = d2.min(axis=1)
+    rows = np.where(d2 == best[:, None], cand, len(mids)).min(axis=1)
+    if k < len(mids):
+        for r in np.flatnonzero(d2.max(axis=1) <= best * (1 + 1e-9)):
+            rows[r] = np.argmin(((locations[r] - mids) ** 2).sum(axis=1))
+    return order[rows]
 
 
 def load_networks(

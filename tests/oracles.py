@@ -9,8 +9,9 @@ single-source road distances, the scheduling walk restated over ids, and
 the closed form for the hour a flooded link reopens. They share no code
 with the package beyond the network index they take as input, and the
 scalar wind lookup and curves of the failure draw. The nearest road link
-scanned link by link and the scalar crew road node here are the references
-for the package's vectorised ones. The percentile bootstrap below is the
+scanned link by link, the chunked brute-force scan over every midpoint and
+the scalar crew road node here are the references for the package's
+vectorised ones. The percentile bootstrap below is the
 statistic the acceptance criteria use to compare strategies; the package
 needs no bootstrap of its own.
 
@@ -182,6 +183,30 @@ def nearest_link(component, roads):
         if best is None or key < best:
             best = key
     return best[1]
+
+
+def nearest_link_positions_brute(locations, roads):
+    """Position in ``roads.link_ids`` of the link with the nearest midpoint,
+    per ``(x, y)`` row of ``locations``.
+
+    Every midpoint's squared distance, 512 rows at a time, and the ``argmin``
+    over midpoints sorted by link id, so an exact tie goes to the lowest id.
+    """
+    link_ids = roads.link_ids
+    order = sorted(range(len(link_ids)), key=link_ids.__getitem__)
+    mids = np.empty((len(link_ids), 2))
+    for row, i in enumerate(order):
+        link = roads.links[link_ids[i]]
+        (x1, y1) = roads.intersections[link.endpoints[0]]
+        (x2, y2) = roads.intersections[link.endpoints[1]]
+        mids[row] = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
+    nearest = np.empty(len(locations), dtype=np.intp)
+    chunk = 512
+    for start in range(0, len(locations), chunk):
+        block = locations[start : start + chunk]
+        d2 = ((block[:, None, :] - mids[None, :, :]) ** 2).sum(axis=2)
+        nearest[start : start + chunk] = np.take(order, np.argmin(d2, axis=1))
+    return nearest
 
 
 def component_road_node(component, roads, link=None):

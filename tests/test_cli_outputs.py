@@ -564,6 +564,45 @@ class TestMainEndToEnd:
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize(
+        "bad,tag,column,token",
+        [
+            ("power", "component", 3, "nan"),
+            ("roads", "intersection", 3, "inf"),
+            ("roads", "link", 4, "inf"),
+            ("roads", "link", 4, "nan"),
+            ("couplings", "household", 2, "-inf"),
+        ],
+        ids=["component-x", "intersection-y", "link-length-inf", "link-length-nan",
+             "household-x"],
+    )
+    def test_non_finite_network_value_exits_2(
+        self, testbed_files, tmp_path, capsys, bad, tag, column, token
+    ):
+        # the first record of the kind gets the non-finite token
+        files = dict(testbed_files)
+        files[bad] = tmp_path / testbed_files[bad].name
+        lines = testbed_files[bad].read_text().splitlines()
+        line_no = next(n for n, ln in enumerate(lines, 1) if ln.startswith(tag + " "))
+        toks = lines[line_no - 1].split()
+        toks[column] = token
+        lines[line_no - 1] = " ".join(toks)
+        files[bad].write_text("\n".join(lines) + "\n")
+        rc = main([
+            "simulate",
+            "--power", str(files["power"]),
+            "--roads", str(files["roads"]),
+            "--couplings", str(files["couplings"]),
+            "--scenario", str(files["scenario"]),
+            "--teams", "6",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{files[bad]}:{line_no}:" in err
+        assert "must be finite" in err and repr(token) in err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize(
         "text,line,named",
         [
             (TIMESERIES_HEADER + "\n0,0,0.5,low,3,10\n", 2, "bad value"),

@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 from stormgrid.engine import SimulationContext, run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
-from stormgrid.network import load_networks
+from stormgrid.network import NEAREST_CANDIDATES, assign_nearest_road_links, load_networks
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
 from .conftest import make_power, make_roads, nearest_links
-from .oracles import bfs_powered, nearest_link, reference_forest
+from .oracles import (
+    bfs_powered,
+    nearest_link,
+    nearest_link_positions_brute,
+    reference_forest,
+)
 
 
 class TestLoadNetworks:
@@ -483,3 +488,46 @@ class TestNearestRoadLink:
             nearest_link(net.components[cid], roads) for cid in ids
         ]
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.permutations([f"L{k}" for k in range(36)]))
+    def test_more_ties_than_candidates_go_to_lowest_id(self, link_ids):
+        # The 36 integer points at distance 65 from the origin are the
+        # midpoints. They fill several leaves of the tree, which may leave the
+        # lowest id out of the origin's candidates; only a scan sees them all.
+        spots = [(x, y) for x in range(-65, 66) for y in range(-65, 66)
+                 if x * x + y * y == 65 * 65]
+        assert len(spots) == len(link_ids) > NEAREST_CANDIDATES
+        inters, links = {}, []
+        for lid, (x, y) in zip(link_ids, spots):
+            inters[lid + "a"], inters[lid + "b"] = (x - 1, y), (x + 1, y)
+            links.append((lid, lid + "a", lid + "b", 2))
+        roads = make_roads(inters, links)
+        net, _ = make_power([("C", "pole", 0, 0), ("D", "pole", 33, 56)], [])
+        assert nearest_links(net, roads) == {"C": "L0", "D": link_ids[spots.index((33, 56))]}
+
+    def test_fewer_links_than_candidates(self):
+        roads = make_roads(
+            {"A": (0, 0), "B": (100, 0), "C": (100, 100)},
+            [("L2", "A", "B", 100), ("L1", "B", "C", 100), ("L0", "C", "A", 141)],
+        )
+        comps = [("P", "plant", 40, 0), ("Q", "pole", 100, 60), ("R", "pole", 50, 50),
+                 ("S", "pole", -300, 900)]
+        net, _ = make_power(comps, [])
+        assert nearest_links(net, roads) == {"P": "L2", "Q": "L1", "R": "L0", "S": "L0"}
+
+    def test_component_on_a_midpoint(self):
+        # P lies on the midpoint L1 and L3 share, Q on L2's own midpoint
+        roads = make_roads(
+            {"A": (0, 0), "B": (100, 0), "C": (50, -50), "D": (50, 50), "E": (100, 50)},
+            [("L3", "A", "B", 100), ("L2", "D", "E", 50), ("L1", "C", "D", 100)],
+        )
+        net, _ = make_power([("P", "plant", 50, 0), ("Q", "pole", 75, 50)], [])
+        assert nearest_links(net, roads) == {"P": "L1", "Q": "L2"}
+
+    def test_default_testbed_matches_brute_force_everywhere(self, default_testbed):
+        net, roads, _ = default_testbed
+        locations = net.index.location
+        assert len(locations) == 6667
+        got = assign_nearest_road_links(locations, roads)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, nearest_link_positions_brute(locations, roads))
