@@ -14,10 +14,10 @@ until the next), whose ``q_households`` and ``q_traffic_lights`` columns
 are the two Q(t) curves. A failure draw containing a job larger than the
 whole crew pool is rejected at hour 0, since that job could never start.
 
-``run_experiment`` makes the road schedule once per experiment and each
-seed's draw once, the first time a strategy reaches that seed, and every
-strategy's replication of the seed reads them; both are read-only arrays.
-A replication run on its own makes both itself, with the same functions.
+``run_experiment`` makes the road schedule once and visits the seeds in
+order: each seed's draw is made, read by every strategy still running, in
+the given order, and dropped before the next; both are read-only arrays. A
+replication run on its own makes both itself, with the same functions.
 Beyond them a replication works only with positions and arrays it owns: a
 conducting mask over components, a mask of pending (failed, not yet
 started) components and the running jobs. The draw itself writes only
@@ -33,7 +33,6 @@ identical per-component repair times.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -98,10 +97,10 @@ class SimulationContext:
     read: per component its nearest road link (mapped here, when the context
     is built) and crew road node, per household and light its attachment,
     and per plant (in the order of the index's ``plant_idx``) its road node.
-    Nothing here changes during a replication except those caches. The
-    hour-0 failure draw is made once per seed and shared by the strategies,
-    but it still writes substation damage levels onto the components, so
-    replications run one at a time per context.
+    Nothing here changes during a replication except those caches. An
+    experiment runs seed by seed, each seed's strategies one after another
+    on that seed's hour-0 draw, which still writes substation damage levels
+    onto the components, so replications run one at a time per context.
     """
 
     def __init__(
@@ -380,40 +379,45 @@ class MonteCarloResult:
 
 def run_monte_carlo(
     config: MonteCarloConfig,
-    run_one: Callable[[int], ReplicationResult],
-) -> MonteCarloResult:
-    """Replicate until the mean powered-household proportion is pinned down.
-
-    The per-replication statistic is the time-averaged household quality.
-    After each replication past the minimum, the normal-approximation CI of
-    its mean is checked against the relative half-width target; hitting the
-    maximum without convergence is flagged, not fatal.
+    strategies: Iterable[Strategy],
+    run_seed: Callable[[int, list[Strategy]], list[ReplicationResult]],
+) -> dict[Strategy, MonteCarloResult]:
+    """Replicate each strategy until its mean powered-household proportion
+    is pinned down, visiting each seed once, in order: ``run_seed(seed,
+    live)`` returns one replication for each strategy of ``live`` (those
+    still running, in the given order). The per-replication statistic is
+    the time-averaged household quality. After each replication past the
+    minimum, the normal-approximation CI of the mean of the strategy's own
+    statistics is checked against the relative half-width target; hitting
+    the maximum without convergence is flagged, not fatal.
     """
-    results: list[ReplicationResult] = []
-    stats: list[float] = []
-    converged = False
+    results: dict[Strategy, list[ReplicationResult]] = {s: [] for s in strategies}
+    stats: dict[Strategy, list[float]] = {s: [] for s in results}
+    converged = dict.fromkeys(results, False)
     for i in range(config.max_replications):
-        res = run_one(config.base_seed + i)
-        results.append(res)
-        stats.append(float(res.records.q_households.mean()))
-        if len(stats) >= config.min_replications:
-            arr = np.array(stats)
-            mean = float(arr.mean())
-            hw = normal_ci_halfwidth(arr, config.confidence)
-            if mean > 0 and hw <= config.relative_halfwidth * mean:
-                converged = True
-                break
-            if mean == 0 and hw == 0:
-                converged = True
-                break
-    arr = np.array(stats)
-    return MonteCarloResult(
-        replications=results,
-        statistics=arr,
-        mean_statistic=float(arr.mean()),
-        ci_halfwidth=normal_ci_halfwidth(arr, config.confidence),
-        converged=converged,
-    )
+        if not (live := [s for s in results if not converged[s]]):
+            break
+        batch = run_seed(config.base_seed + i, live)
+        for strategy, res in zip(live, batch, strict=True):
+            results[strategy].append(res)
+            stats[strategy].append(float(res.records.q_households.mean()))
+            if len(stats[strategy]) >= config.min_replications:
+                arr = np.array(stats[strategy])
+                mean, hw = float(arr.mean()), normal_ci_halfwidth(arr, config.confidence)
+                converged[strategy] = (
+                    hw <= config.relative_halfwidth * mean if mean > 0 else hw == 0
+                )
+    out = {}
+    for strategy, reps in results.items():
+        arr = np.array(stats[strategy])
+        out[strategy] = MonteCarloResult(
+            replications=reps,
+            statistics=arr,
+            mean_statistic=float(arr.mean()),
+            ci_halfwidth=normal_ci_halfwidth(arr, config.confidence),
+            converged=converged[strategy],
+        )
+    return out
 
 
 @dataclass
@@ -453,29 +457,25 @@ def run_experiment(
     given = (net, roads, households)
     if any(a is not b for a, b in zip((ctx.net, ctx.roads, ctx.households), given)):
         raise ConfigError("the context was built from other network objects")
-    strategies = list(strategies)
     schedule = road_schedule(ctx, scenario, HARD_CAP_HOURS)
-    draws: dict[int, tuple] = {}  # seed -> hour_zero_draw, made on first use
 
-    def run_one(strategy: Strategy, seed: int) -> ReplicationResult:
-        if seed not in draws:
-            draws[seed] = hour_zero_draw(
-                ctx, scenario, fragility, repair_model, teams, seed
-            )
+    def run_seed(seed: int, live: list[Strategy]) -> list[ReplicationResult]:
+        draw = hour_zero_draw(ctx, scenario, fragility, repair_model, teams, seed)
+        shared = SharedInputs(*schedule, *draw)
         # positional, with the strategy 7th, as the benchmark's tracer reads it
-        return run_replication(
-            ctx, scenario, fragility, repair_model, teams, seed, strategy,
-            shared=SharedInputs(*schedule, *draws[seed]),
-        )
+        return [
+            run_replication(
+                ctx, scenario, fragility, repair_model, teams, seed, strategy,
+                shared=shared,
+            )
+            for strategy in live
+        ]
 
-    by_strategy = {
-        strategy: run_monte_carlo(mc_config, functools.partial(run_one, strategy))
-        for strategy in strategies
-    }
+    by_strategy = run_monte_carlo(mc_config, strategies, run_seed)
     baseline = (
         Strategy.COMPONENT_BASED
         if Strategy.COMPONENT_BASED in by_strategy
-        else strategies[0]
+        else next(iter(by_strategy))
     )
     return ExperimentResult(
         by_strategy=by_strategy,

@@ -362,6 +362,9 @@ def load_road_file(path: str | Path) -> RoadNetwork:
                     nid, f"link {lid} at {path}:{line_no} names a missing intersection"
                 )
         links[lid] = RoadLink(id=lid, endpoints=(a, b), length_m=length)
+    if not links:
+        # every component is mapped to its nearest link, so there must be one
+        raise FormatError(path, 0, "no link records; need at least one road link")
     return RoadNetwork(links=links, intersections=intersections, traffic_lights={})
 
 

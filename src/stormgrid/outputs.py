@@ -71,7 +71,11 @@ def build_summaries(
     )
     out: dict[Strategy, ResilienceSummary] = {}
     for strategy, mc in experiment.by_strategy.items():
-        baseline_ref = base_trl if strategy is not experiment.baseline else None
+        # undefined for the baseline itself and for a storm that costs the
+        # baseline no resilience
+        baseline_ref = (
+            base_trl if strategy is not experiment.baseline and base_trl != 0 else None
+        )
         out[strategy] = _strategy_summary(mc, mpr_horizon, baseline_ref)
     return out
 
@@ -96,6 +100,7 @@ def emit_outputs(experiment: ExperimentResult, out_dir: str | Path) -> list[Path
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
+    summaries = build_summaries(experiment)
     strategies = list(experiment.by_strategy)
     for strategy in strategies:
         name = (
@@ -105,7 +110,6 @@ def emit_outputs(experiment: ExperimentResult, out_dir: str | Path) -> list[Path
         )
         written.append(write_timeseries(experiment.by_strategy[strategy], out / name))
 
-    summaries = build_summaries(experiment)
     payload = {
         "mpr": round(experiment.mpr_horizon(), 6),
         "baseline": experiment.baseline.value,

@@ -18,8 +18,8 @@ from stormgrid.engine import (
     MonteCarloConfig,
     ReplicationResult,
     SimulationContext,
+    run_experiment,
     run_monte_carlo,
-    run_replication,
 )
 from stormgrid.fragility import (
     LineFragilityParams,
@@ -76,37 +76,47 @@ def matrix(default_testbed):
         (LOW_WIND, LOW_TEAMS, False, D),
         (HIGH_WIND, HIGH_TEAMS, False, D),
     ]
+    # one experiment per (wind, coupling) cell runs its strategies on the
+    # paired seeds
+    cells: dict[tuple, list[Strategy]] = {}
+    for wind, teams, deps, strategy in configs:
+        cells.setdefault((wind, teams, deps), []).append(strategy)
+    mc = MonteCarloConfig(
+        min_replications=len(SEEDS), max_replications=len(SEEDS), base_seed=SEEDS[0]
+    )
     out = {}
     crew_violations = 0
-    for wind, teams, deps, strategy in configs:
+    for (wind, teams, deps), strategies in cells.items():
         hazard = dataclasses.replace(
             cfg.hazard,
             wind_mph=wind,
             fuel_dependence=deps,
             crew_access_dependence=deps,
         )
-        trl, trl_tl, q100_hh, q100_tl, horizons = [], [], [], [], []
-        for seed in SEEDS:
-            res = run_replication(
-                ctx, hazard, cfg.fragility, cfg.repair,
-                teams=teams, seed=seed, strategy=strategy,
-            )
-            for rec in res.records:
-                if rec.crews_available + rec.crews_in_use != teams:
-                    crew_violations += 1
-            q_hh, q_tl = res.records.q_households, res.records.q_traffic_lights
-            trl.append(resilience_loss(q_hh))
-            trl_tl.append(resilience_loss(q_tl))
-            q100_hh.append(restoration_quantiles(q_hh, (1.0,))[1.0])
-            q100_tl.append(restoration_quantiles(q_tl, (1.0,))[1.0])
-            horizons.append(res.horizon())
-        out[(wind, deps, strategy)] = {
-            "trl": np.array(trl),
-            "trl_tl": np.array(trl_tl),
-            "q100_hh": np.array(q100_hh),
-            "q100_tl": np.array(q100_tl),
-            "horizon": np.array(horizons),
-        }
+        exp = run_experiment(
+            net, roads, households, hazard, cfg.fragility, cfg.repair,
+            strategies, teams, mc, context=ctx,
+        )
+        for strategy, result in exp.by_strategy.items():
+            assert [res.seed for res in result.replications] == SEEDS
+            trl, trl_tl, q100_hh, q100_tl, horizons = [], [], [], [], []
+            for res in result.replications:
+                for rec in res.records:
+                    if rec.crews_available + rec.crews_in_use != teams:
+                        crew_violations += 1
+                q_hh, q_tl = res.records.q_households, res.records.q_traffic_lights
+                trl.append(resilience_loss(q_hh))
+                trl_tl.append(resilience_loss(q_tl))
+                q100_hh.append(restoration_quantiles(q_hh, (1.0,))[1.0])
+                q100_tl.append(restoration_quantiles(q_tl, (1.0,))[1.0])
+                horizons.append(res.horizon())
+            out[(wind, deps, strategy)] = {
+                "trl": np.array(trl),
+                "trl_tl": np.array(trl_tl),
+                "q100_hh": np.array(q100_hh),
+                "q100_tl": np.array(q100_tl),
+                "horizon": np.array(horizons),
+            }
     out["crew_violations"] = crew_violations
     return out
 
@@ -287,14 +297,17 @@ def test_criterion_08_wind_monotonicity(matrix):
 
 def test_criterion_09_stopping_rule():
     def source(values):
-        def run_one(seed):
+        def run_seed(seed, live):
             q = float(values[seed % len(values)])
             records = np.array([(0, q, q, 0, 0, 0, 0)], dtype=RECORD_DTYPE)
-            return ReplicationResult(
-                seed=seed, strategy=C, records=records.view(np.recarray),
-                events=[], initial_failures=[],
-            )
-        return run_one
+            return [
+                ReplicationResult(
+                    seed=seed, strategy=strategy, records=records.view(np.recarray),
+                    events=[], initial_failures=[],
+                )
+                for strategy in live
+            ]
+        return run_seed
 
     meta_rng = np.random.default_rng(555)
     for trial in range(200):
@@ -302,14 +315,14 @@ def test_criterion_09_stopping_rule():
         cfg = MonteCarloConfig(
             min_replications=10, max_replications=5000, base_seed=0
         )
-        out = run_monte_carlo(cfg, source(draws))
+        out = run_monte_carlo(cfg, [C], source(draws))[C]
         assert out.converged, f"meta-trial {trial} failed to converge"
         assert out.ci_halfwidth <= 0.10 * out.mean_statistic + 1e-12, (
             f"meta-trial {trial}: hw {out.ci_halfwidth:.4f} vs mean {out.mean_statistic:.4f}"
         )
     flat = run_monte_carlo(
-        MonteCarloConfig(min_replications=10, max_replications=100), source([1.0])
-    )
+        MonteCarloConfig(min_replications=10, max_replications=100), [C], source([1.0])
+    )[C]
     assert flat.n() == 10 and flat.converged and flat.ci_halfwidth == 0.0
     print("PASS criterion 9: 200 meta-trials met the 90%/10% rule; flat input stops at minimum")
 

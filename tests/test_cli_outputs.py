@@ -384,6 +384,52 @@ class TestMainEndToEnd:
         assert rows
         assert all(row.split(",")[2] == "1.000000" for row in rows)
 
+    def test_calm_storm_under_all_strategies_writes_every_file(
+        self, testbed_files, tmp_path
+    ):
+        # no household loses power, so the baseline's mean TRL is 0 and the
+        # improvement over it is undefined
+        scenario = tmp_path / "calm.json"
+        raw = json.loads(testbed_files["scenario"].read_text())
+        scenario.write_text(json.dumps(dict(raw, wind_mph=0.0, runoff_in=0.0)))
+        rc = main([
+            "simulate",
+            "--power", str(testbed_files["power"]),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(scenario),
+            "--teams", "6",
+            "--min-reps", "2",
+            "--max-reps", "2",
+            "--out", str(tmp_path / "calm"),
+        ])
+        assert rc == 0
+        assert {p.name for p in (tmp_path / "calm").iterdir()} == {
+            "summary.json", *(f"timeseries_{s.value}.csv" for s in Strategy)
+        }
+        summary = json.loads((tmp_path / "calm/summary.json").read_text())
+        for entry in summary["strategies"].values():
+            assert entry["mean_trl"] == 0.0
+            assert entry["improvement_pct"] is None
+
+    def test_road_file_without_links_exits_2(self, testbed_files, tmp_path, capsys):
+        roads = tmp_path / "roads.txt"
+        lines = testbed_files["roads"].read_text().splitlines(keepends=True)
+        roads.write_text("".join(ln for ln in lines if not ln.startswith("link ")))
+        rc = main([
+            "simulate",
+            "--power", str(testbed_files["power"]),
+            "--roads", str(roads),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(testbed_files["scenario"]),
+            "--teams", "6",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{roads}:0: no link records" in err
+        assert not (tmp_path / "res").exists()
+
     def test_make_testbed_cli(self, tmp_path):
         rc = main([
             "make-testbed", "--grid-size", "3", "--households", "20",
@@ -810,13 +856,44 @@ class TestPinnedOutputs:
     # events as JSON. The uniform 12 in runoff restores fuel at hour 16.
     EVENTS_DIGEST = "a920b1ee7265500993f8ef7d03100e001f086e5e9dfb49ee46b4c6d75ba67bec"
 
+    # The strategies stop at 12, 2 and 2 replications on the 115 mph variant
+    # of the same testbed; recorded while each strategy ran all its seeds
+    # before the next strategy started.
+    UNEVEN_DIGESTS = {
+        "summary.json":
+            "64138e68adab7288b6dbb38c75497152b142dab9f594b156c5b78937f091b6b3",
+        "timeseries_component.csv":
+            "cdc8663a0a083b9c3f960197812cd132eb90e622aefd228a79ffe2787acf9be7",
+        "timeseries_distance.csv":
+            "04c873c424231ec5c96e63a0c631c9d4380a4598407dff9249cbf4d85383d3c2",
+        "timeseries_traffic-light.csv":
+            "76ed1f393891b43dc2c0db2fdc102a9d89e3d165c530e35926b9d24f616f7c3e",
+    }
+
     @staticmethod
-    def _testbed(tmp_path):
+    def _testbed(tmp_path, wind_mph=95.0):
         return generate_testbed(
             TestbedParams(grid_size=6, households=150, substations=2, seed=3,
-                          wind_mph=95.0),
+                          wind_mph=wind_mph),
             tmp_path / "tb",
         )
+
+    @staticmethod
+    def _simulate(files, out, *flags):
+        """Digest per written file of one ``simulate`` run."""
+        rc = main([
+            "simulate",
+            "--power", str(files["power"]),
+            "--roads", str(files["roads"]),
+            "--couplings", str(files["couplings"]),
+            "--scenario", str(files["scenario"]),
+            *flags,
+            "--out", str(out),
+        ])
+        assert rc == 0
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+        }
 
     def test_small_testbed_events_unchanged(self, tmp_path):
         files = self._testbed(tmp_path)
@@ -834,20 +911,22 @@ class TestPinnedOutputs:
 
     def test_small_testbed_outputs_unchanged(self, tmp_path):
         files = self._testbed(tmp_path)
-        rc = main([
-            "simulate",
-            "--power", str(files["power"]),
-            "--roads", str(files["roads"]),
-            "--couplings", str(files["couplings"]),
-            "--scenario", str(files["scenario"]),
-            "--teams", "8",
-            "--min-reps", "3",
+        digests = self._simulate(
+            files, tmp_path / "res", "--teams", "8", "--min-reps", "3",
             "--max-reps", "3",
-            "--out", str(tmp_path / "res"),
-        ])
-        assert rc == 0
-        written = {p.name: p for p in (tmp_path / "res").iterdir()}
-        assert set(written) == set(self.DIGESTS)
+        )
+        assert set(digests) == set(self.DIGESTS)
         for name, digest in self.DIGESTS.items():
-            actual = hashlib.sha256(written[name].read_bytes()).hexdigest()
-            assert actual == digest, name
+            assert digests[name] == digest, name
+
+    def test_uneven_stops_outputs_unchanged(self, tmp_path):
+        files = self._testbed(tmp_path, wind_mph=115.0)
+        out = tmp_path / "res"
+        digests = self._simulate(
+            files, out, "--teams", "16", "--min-reps", "2", "--max-reps", "12",
+            "--rel-halfwidth", "0.05",
+        )
+        summary = json.loads((out / "summary.json").read_text())
+        counts = [summary["strategies"][s.value]["replications"] for s in Strategy]
+        assert counts == [12, 2, 2]
+        assert digests == self.UNEVEN_DIGESTS

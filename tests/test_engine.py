@@ -1,6 +1,7 @@
 """Replication loop behavior, seeding discipline, and the stopping rule."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -270,22 +271,29 @@ class TestHardCap:
         assert err.value.snapshot["unrepaired"] == sorted(pending) + sorted(running)
 
 
-def fake_run_one(values):
-    """Synthetic replication source yielding preset time-averaged qualities."""
-    def run_one(seed):
+C = Strategy.COMPONENT_BASED
+
+
+def fake_run_seed(values):
+    """Synthetic replication source yielding preset time-averaged qualities,
+    the same for every strategy of a seed."""
+    def run_seed(seed, live):
         q = float(values[seed % len(values)])
         records = np.array([(0, q, q, 0, 0, 0, 0)], dtype=RECORD_DTYPE)
-        return ReplicationResult(
-            seed=seed, strategy=Strategy.COMPONENT_BASED,
-            records=records.view(np.recarray), events=[], initial_failures=[],
-        )
-    return run_one
+        return [
+            ReplicationResult(
+                seed=seed, strategy=strategy, records=records.view(np.recarray),
+                events=[], initial_failures=[],
+            )
+            for strategy in live
+        ]
+    return run_seed
 
 
 class TestMonteCarlo:
     def test_zero_variance_stops_at_min(self):
         cfg = MonteCarloConfig(min_replications=10, max_replications=500)
-        out = run_monte_carlo(cfg, fake_run_one([1.0]))
+        out = run_monte_carlo(cfg, [C], fake_run_seed([1.0]))[C]
         assert out.n() == 10
         assert out.converged
         assert out.ci_halfwidth == 0.0
@@ -294,7 +302,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(77)
         draws = (rng.random(5000) < 0.7).astype(float)
         cfg = MonteCarloConfig(min_replications=10, max_replications=5000)
-        out = run_monte_carlo(cfg, fake_run_one(draws))
+        out = run_monte_carlo(cfg, [C], fake_run_seed(draws))[C]
         assert out.converged
         assert out.ci_halfwidth <= 0.10 * out.mean_statistic + 1e-12
         assert 0.5 < out.mean_statistic < 0.9
@@ -303,7 +311,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(78)
         draws = (rng.random(100) < 0.5).astype(float)
         cfg = MonteCarloConfig(min_replications=10, max_replications=12)
-        out = run_monte_carlo(cfg, fake_run_one(draws))
+        out = run_monte_carlo(cfg, [C], fake_run_seed(draws))[C]
         assert not out.converged
         assert out.n() == 12
 
@@ -319,12 +327,36 @@ class TestMonteCarlo:
 
     def test_seeds_are_base_plus_index(self):
         seen = []
-        def run_one(seed):
+        def run_seed(seed, live):
             seen.append(seed)
-            return fake_run_one([1.0])(seed)
+            return fake_run_seed([1.0])(seed, live)
         cfg = MonteCarloConfig(min_replications=2, max_replications=10, base_seed=40)
-        run_monte_carlo(cfg, run_one)
+        run_monte_carlo(cfg, [C], run_seed)
         assert seen == [40, 41]
+
+    def test_each_strategy_stops_on_its_own_statistics(self):
+        # constant qualities stop the distance strategy at the minimum; the
+        # component strategy's noisy ones keep it running to the maximum
+        rng = np.random.default_rng(78)
+        values = {C: (rng.random(100) < 0.5).astype(float),
+                  Strategy.DISTANCE_BASED: [1.0]}
+        calls = []
+
+        def run_seed(seed, live):
+            calls.append((seed, live))
+            return [fake_run_seed(values[s])(seed, [s])[0] for s in live]
+
+        cfg = MonteCarloConfig(min_replications=3, max_replications=12, base_seed=5)
+        out = run_monte_carlo(cfg, list(values), run_seed)
+        assert list(out) == list(values)
+        assert [mc.n() for mc in out.values()] == [12, 3]
+        assert calls == [
+            (5 + i, [s for s in values if out[s].n() > i]) for i in range(12)
+        ]
+        for strategy, mc in out.items():
+            alone = run_monte_carlo(cfg, [strategy], fake_run_seed(values[strategy]))
+            assert mc.statistics.tolist() == alone[strategy].statistics.tolist()
+            assert mc.converged == alone[strategy].converged == (mc.n() == 3)
 
 
 class TestRunExperiment:
@@ -436,38 +468,55 @@ class TestSharedDraw:
 
     def test_one_draw_per_seed_and_one_schedule(self, small_testbed, monkeypatch):
         calls = {"sample_failures": 0, "road_schedule": 0}
-        shared = []
+        order = []  # (seed, strategy) per replication, in call order
+        draws = []  # a weak reference to each draw's crews array
+        alive_at_draw = []  # per draw, how many earlier draws are still alive
 
-        def counted(name):
+        def counted(name, before=lambda: None):
             original = getattr(engine, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                before()
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(engine, name, wrapper)
 
-        counted("sample_failures")
+        counted("sample_failures", lambda: alive_at_draw.append(
+            sum(ref() is not None for ref in draws)))
         counted("road_schedule")
         run_replication = engine.run_replication
 
-        def keep_shared(*args, **kwargs):
-            shared.append(kwargs["shared"])
-            return run_replication(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "run_replication", keep_shared)
-        exp = self.experiment(small_testbed, 115.0, 16, list(Strategy))
-
-        counts = [mc.n() for mc in exp.by_strategy.values()]
-        assert len(set(counts)) > 1
-        assert calls == {"sample_failures": max(counts), "road_schedule": 1}
-        assert len(shared) == sum(counts)
-        for inputs in shared:
+        def check_shared(*args, **kwargs):
+            inputs = kwargs["shared"]
+            order.append((args[5], args[6]))
+            if not draws or draws[-1]() is not inputs.crews:
+                draws.append(weakref.ref(inputs.crews))
             assert isinstance(inputs.failed, tuple)
             for name in ("link_from", "plant_from", "opens", "crews", "duration"):
                 array = getattr(inputs, name)
                 with pytest.raises(ValueError, match="read-only"):
                     array[:1] = 0
+            return run_replication(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_replication", check_shared)
+        strategies = list(Strategy)
+        exp = self.experiment(small_testbed, 115.0, 16, strategies)
+
+        counts = [mc.n() for mc in exp.by_strategy.values()]
+        assert len(set(counts)) > 1
+        assert calls == {"sample_failures": max(counts), "road_schedule": 1}
+        assert len(order) == sum(counts)
+        # seed by seed, each seed's live strategies in the given order
+        assert order == [
+            (seed, s)
+            for seed in range(max(counts))
+            for s, n in zip(strategies, counts)
+            if seed < n
+        ]
+        # each draw is dropped before the next one is made
+        assert len(draws) == max(counts)
+        assert alive_at_draw == [0] * max(counts)
         reps = [rep for mc in exp.by_strategy.values() for rep in mc.replications]
         assert len({id(rep.initial_failures) for rep in reps}) == len(reps)
         assert all(type(rep.initial_failures) is list for rep in reps)

@@ -124,7 +124,8 @@ class TestQualitySeries:
             events=[], initial_failures=[],
         )
         cfg = MonteCarloConfig(min_replications=2, max_replications=2)
-        out = run_monte_carlo(cfg, lambda seed: rep)
+        out = run_monte_carlo(cfg, [rep.strategy], lambda seed, live: [rep])
+        out = out[rep.strategy]
         assert out.statistics.tolist() == [pytest.approx(0.5)] * 2
 
 
