@@ -92,12 +92,12 @@ class ReplicationResult:
 class SimulationContext:
     """Static per-network state shared across replications and strategies.
 
-    Holds the network, the integer indexes, the prioritizer (with its
-    road-distance caches) and the position arrays it and the replications
+    Holds the network, the integer indexes, the prioritizer (with its rank
+    cache per passable set) and the position arrays it and the replications
     read: per component its nearest road link (mapped here, when the context
     is built) and crew road node, per household and light its attachment,
     and per plant (in the order of the index's ``plant_idx``) its road node.
-    Nothing here changes during a replication except those caches. An
+    Nothing here changes during a replication except that cache. An
     experiment runs seed by seed, each seed's strategies one after another
     on that seed's hour-0 draw, which still writes substation damage levels
     onto the components, so replications run one at a time per context.

@@ -67,18 +67,18 @@ class Strategy(enum.Enum):
 class Prioritizer:
     """Strategy orderings over pending components, as ranked blocks.
 
-    A block pairs a tier mask over the pending components with one key per
-    component. The static inputs of the keys are built once from the
-    network index and the context's position arrays: each component's tier
-    (from its kind code) and id rank, and the substation of each household
+    A block is one tier of the pending components in rank order, ties
+    broken by id rank. Built once: each tier's positions (from the kind
+    codes), each component's id rank and the substation of each household
     and light. A component lies on a light's feed path (the feed component
     and its forest ancestors below the plant) exactly when its preorder
-    interval in the index holds the feed's. ``comp_node`` is each
-    component's crew road node and ``plant_node`` each plant's. Road
-    distances are measured from them over the currently passable subgraph
-    (a component cut off by floodwater sorts last, mirroring the access
-    gate) and cached per passable set, which recurs across hours and
-    replications.
+    interval in the index holds the feed's. Cached per passable set (which
+    recurs across hours and replications): transmission positions sorted by
+    road distance to a plant, and distribution positions by road distance to
+    their own substation, both from ``plant_node`` and ``comp_node`` over the
+    passable subgraph; a component cut off by floodwater sorts last,
+    mirroring the access gate. A call keeps each block's pending entries and
+    ranks only the pending substations, whose keys change every hour.
     """
 
     def __init__(
@@ -99,11 +99,11 @@ class Prioritizer:
         self.id_rank[sorted(range(n), key=idx.ids.__getitem__)] = np.arange(n)
 
         def of_kind(*kinds: ComponentKind) -> np.ndarray:
-            return np.isin(idx.kind, [KINDS.index(k) for k in kinds])
+            return np.flatnonzero(np.isin(idx.kind, [KINDS.index(k) for k in kinds]))
 
-        self.is_sub = of_kind(ComponentKind.SUBSTATION)
-        self.is_transmission = of_kind(ComponentKind.TOWER, ComponentKind.LINE)
-        self.is_distribution = of_kind(ComponentKind.POLE, ComponentKind.CONDUCTOR)
+        self.subs = of_kind(ComponentKind.SUBSTATION)
+        self.trans = of_kind(ComponentKind.TOWER, ComponentKind.LINE)
+        self.dist = of_kind(ComponentKind.POLE, ComponentKind.CONDUCTOR)
 
         # Substation of each household and light; n stands for none.
         self.hh_sub, self.light_sub = (
@@ -117,29 +117,31 @@ class Prioritizer:
         # component reads the row of its substation; the extra last slot of
         # row_of answers substation_of's -1 (none) with -1.
         plant_nodes = np.unique(plant_node).tolist()
-        subs = np.flatnonzero(self.is_sub)
-        self.sources = plant_nodes + comp_node[subs].tolist()
+        self.sources = plant_nodes + comp_node[self.subs].tolist()
         self.n_plant_rows = len(plant_nodes)
         row_of = np.full(n + 1, -1, dtype=np.intp)
-        row_of[subs] = np.arange(len(plant_nodes), len(self.sources))
+        row_of[self.subs] = np.arange(len(plant_nodes), len(self.sources))
         self.sub_row = row_of[idx.substation_of]
 
-        self._dist_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._ranked: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def _distances(self, passable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per component: road distance to a plant and to its own substation."""
-        key = passable.tobytes()
-        cached = self._dist_cache.get(key)
-        if cached is None:
-            rows = self.road_index.distances_from(self.sources, passable)
-            rows = rows[:, self.comp_node]
-            to_plant = rows[: self.n_plant_rows].min(axis=0, initial=np.inf)
-            to_sub = np.full(len(self.comp_node), np.inf)
-            has = self.sub_row >= 0
-            to_sub[has] = rows[self.sub_row[has], has]
-            cached = (to_plant, to_sub)
-            self._dist_cache[key] = cached
-        return cached
+        rows = self.road_index.distances_from(self.sources, passable)[:, self.comp_node]
+        to_plant = rows[: self.n_plant_rows].min(axis=0, initial=np.inf)
+        to_sub = np.full(len(self.comp_node), np.inf)
+        has = self.sub_row >= 0
+        to_sub[has] = rows[self.sub_row[has], has]
+        return to_plant, to_sub
+
+    def _by_outage(
+        self, subs: np.ndarray, powered: np.ndarray, sub_of: np.ndarray
+    ) -> np.ndarray:
+        """``subs``, most unpowered households (or lights) below them first."""
+        if len(subs) == 0:
+            return subs
+        out = np.bincount(sub_of[~powered], minlength=len(self.id_rank))[subs]
+        return subs[np.lexsort((self.id_rank[subs], -out))]
 
     def order(
         self,
@@ -158,43 +160,41 @@ class Prioritizer:
         traffic lights (aligned with ``light_feed``), both in the context's
         order.
         """
-        comps = np.flatnonzero(pending)
-        n = len(pending)
-        subs = self.is_sub[comps]
-        trans = self.is_transmission[comps]
-        dist = self.is_distribution[comps]
-        hh_out = np.bincount(self.hh_sub[~hh_powered], minlength=n + 1)[comps]
+        def blocks(trans, subs, dist, powered=hh_powered, sub_of=self.hh_sub):
+            return [trans, self._by_outage(subs, powered, sub_of), dist]
 
+        subs = self.subs[pending[self.subs]]
         if strategy is Strategy.COMPONENT_BASED:
-            # Each distribution row's slot in this hour's shuffle.
-            n_dist = int(np.count_nonzero(dist))
-            shuffled = np.empty(len(comps), dtype=np.intp)
-            shuffled[np.flatnonzero(dist)[rng.permutation(n_dist)]] = np.arange(n_dist)
-            blocks = [(subs, -hh_out), (trans, comps), (dist, shuffled)]
-        else:
-            to_plant, to_sub = (d[comps] for d in self._distances(passable))
-            blocks = [(trans, to_plant), (subs, -hh_out), (dist, to_sub)]
-            if strategy is Strategy.TRAFFIC_LIGHT_BASED:
-                idx = self.index
-                dark = np.sort(idx.tin[self.light_feed[~light_powered]])
-                feeds = np.searchsorted(
-                    dark, idx.tout[comps], "right"
-                ) > np.searchsorted(dark, idx.tin[comps], "left")
-                lights_out = np.bincount(
-                    self.light_sub[~light_powered], minlength=n + 1
-                )[comps]
-                first = [(trans, to_plant), (subs, -lights_out), (dist, to_sub)]
-                blocks = [(tier & feeds, key) for tier, key in first] + [
-                    (tier & ~feeds, key) for tier, key in blocks
-                ]
+            dist = self.dist[pending[self.dist]]
+            return np.concatenate([
+                self._by_outage(subs, hh_powered, self.hh_sub),
+                self.trans[pending[self.trans]],
+                dist[rng.permutation(len(dist))],
+            ])
 
-        # Pending components are never plants, so the blocks partition them.
-        block = np.empty(len(comps), dtype=np.intp)
-        key = np.empty(len(comps))
-        for b, (tier, tier_key) in enumerate(blocks):
-            block[tier] = b
-            key[tier] = tier_key[tier]
-        return comps[np.lexsort((self.id_rank[comps], key, block))]
+        key = passable.tobytes()
+        if key not in self._ranked:
+            # By id rank, then stably by distance: the (distance, id) order.
+            ranked = []
+            for tier, d in zip((self.trans, self.dist), self._distances(passable)):
+                tier = tier[np.argsort(self.id_rank[tier])]
+                ranked.append(tier[np.argsort(d[tier], kind="stable")])
+            self._ranked[key] = tuple(ranked)
+        trans, dist = (tier[pending[tier]] for tier in self._ranked[key])
+        if strategy is Strategy.DISTANCE_BASED:
+            return np.concatenate(blocks(trans, subs, dist))
+
+        # An entry feeds a dark light when the first dark feed at or after
+        # its tin lies within its tout; the sentinel n lies past every tout.
+        idx = self.index
+        dark = np.sort(idx.tin[self.light_feed[~light_powered]])
+        dark = np.append(dark, len(pending))
+        tiers = (trans, subs, dist)
+        feeds = [dark[np.searchsorted(dark, idx.tin[t])] <= idx.tout[t] for t in tiers]
+        return np.concatenate(
+            blocks(*(t[f] for t, f in zip(tiers, feeds)), light_powered, self.light_sub)
+            + blocks(*(t[~f] for t, f in zip(tiers, feeds)))
+        )
 
 
 # ---------------------------------------------------------------------------

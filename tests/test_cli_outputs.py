@@ -930,3 +930,24 @@ class TestPinnedOutputs:
         counts = [summary["strategies"][s.value]["replications"] for s in Strategy]
         assert counts == [12, 2, 2]
         assert digests == self.UNEVEN_DIGESTS
+
+    # The default testbed at 115 mph with 36 teams: the surge shape, with
+    # about 1,300 failures and hundreds of pending repairs per ranking.
+    SURGE_DIGESTS = {
+        "summary.json":
+            "264a2dc2669e7f8b6aeca933992e01f34b09e8cbed6912633c2fd23573c08442",
+        "timeseries_component.csv":
+            "fd1b532445832562e4b2743727dacc5f0fa0b24044d03a0f0aa8e9671a084b16",
+        "timeseries_distance.csv":
+            "871152e76e112cca7395a1ccddf00784d8d6e4bdaf86d5721c9bf647a19d79a2",
+        "timeseries_traffic-light.csv":
+            "1303c6f0151bf97449a3338038d1a535bf3ec849f5897232a04afe0d780c8aa7",
+    }
+
+    def test_default_testbed_surge_outputs_unchanged(self, tmp_path):
+        files = generate_testbed(TestbedParams(wind_mph=115.0), tmp_path / "tb")
+        digests = self._simulate(
+            files, tmp_path / "res", "--teams", "36", "--min-reps", "2",
+            "--max-reps", "2",
+        )
+        assert digests == self.SURGE_DIGESTS

@@ -232,6 +232,40 @@ class TestOrderMatchesReference:
         assert [net.index.ids[c] for c in got] == want
 
 
+class TestRankCache:
+    def test_passable_sets_a_b_a_match_reference(self, small_testbed):
+        net, roads, hh, _ = small_testbed
+        ctx = SimulationContext(net, roads, hh)
+        prio = ctx.prioritizer
+        a = np.ones(len(roads.link_ids), dtype=bool)
+        b = a.copy()
+        b[::3] = False
+        # B cuts some components off from every plant, but not all of them.
+        to_plant = prio._distances(b)[0]
+        assert np.isinf(to_plant).any() and np.isfinite(to_plant).any()
+
+        pending = [
+            cid for cid, c in net.components.items()
+            if c.kind is not ComponentKind.PLANT
+        ]
+        hh_powered = np.arange(len(hh)) % 3 == 0
+        light_powered = np.arange(len(ctx.light_feed)) % 2 == 0
+        for strategy in Strategy:
+            for passable in (a, b, a):
+                got = prio.order(
+                    strategy, pending_mask(net, pending), passable,
+                    np.random.default_rng(5), hh_powered, light_powered,
+                )
+                want = reference_order(
+                    strategy.value, pending, net, roads, hh, passable,
+                    np.random.default_rng(5), hh_powered, light_powered,
+                )
+                assert [net.index.ids[c] for c in got] == want
+                # Writing into a returned list leaves the next call's intact.
+                got[:] = got[0]
+        assert len(prio._ranked) == 2
+
+
 class TestWalkMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
