@@ -85,8 +85,17 @@ def _number(value, integral: bool = False) -> float | int:
     return int(value)
 
 
+def _check_keys(raw, allowed, path, what: str) -> None:
+    """``raw`` must be a JSON object with no keys outside ``allowed``."""
+    if not isinstance(raw, dict):
+        raise FormatError(path, 0, f"{what} must be a JSON object")
+    if unknown := set(raw) - set(allowed):
+        raise FormatError(path, 0, f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _parse_wind(raw, path):
-    if isinstance(raw, dict) and "cells" in raw:
+    if isinstance(raw, dict):
+        _check_keys(raw, {"cells"}, path, "wind_mph")
         cells = []
         for cell in raw["cells"]:
             if len(cell) != 5:
@@ -152,15 +161,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise FormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
 
-    if not isinstance(raw, dict):
-        raise FormatError(path, 0, "scenario must be a JSON object")
-    unknown = set(raw) - _SCENARIO_KEYS
-    if unknown:
-        raise FormatError(path, 0, f"unknown scenario keys: {sorted(unknown)}")
+    _check_keys(raw, _SCENARIO_KEYS, path, "scenario")
 
     with _scenario_value(path, "runoff_in"):
         runoff = raw.get("runoff_in", 0.0)
         if isinstance(runoff, dict):
+            _check_keys(runoff, {"default", "per_link"}, path, "runoff_in")
             initial_runoff = {
                 str(k): _number(v) for k, v in runoff.get("per_link", {}).items()
             }
@@ -206,6 +212,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             sub_params = SubstationFragilityParams.from_medians()
         else:
             spec = raw["substation_fragility"]
+            _check_keys(spec, _LEVEL_TOKENS, path, "substation_fragility")
             medians, sigmas = {}, {}
             for lv in DamageLevel:
                 if lv.value not in spec:

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from .errors import DanglingReferenceError
 from .hazard import HazardScenario
 from .network import PowerNetwork, RoadNetwork
 
@@ -126,8 +127,11 @@ def resolve_fuel_nodes(
 
     Scenario fuel-source coordinates take precedence (snapped to the nearest
     intersection); otherwise the coupling file's fuel record applies; a plant
-    with neither takes fuel at its own crew road node, ``plant_node``.
+    with neither takes fuel at its own crew road node, ``plant_node``. A
+    fuel source named for no plant raises :class:`DanglingReferenceError`.
     """
+    if unknown := set(scenario.fuel_source_coords) - set(net.plants):
+        raise DanglingReferenceError(min(unknown), "fuel_sources names no plant")
     nodes = plant_node.copy()
     for p, plant in enumerate(net.plants):
         if plant in scenario.fuel_source_coords:

@@ -44,7 +44,7 @@ from .coupling import RoadIndex, crew_road_nodes, fuel_reachable, resolve_fuel_n
 from .errors import ConfigError, SimulationCapError
 from .fragility import FragilityConfig, RepairModel, sample_failures
 from .hazard import HazardScenario, drain_step, initial_flood, passable_mask
-from .metrics import full_restoration_hour, normal_ci_halfwidth
+from .metrics import normal_ci_halfwidth
 from .network import Household, PowerNetwork, RoadNetwork
 from .restoration import (
     JobTable,
@@ -428,16 +428,6 @@ class ExperimentResult:
     baseline: Strategy
     mc_config: MonteCarloConfig
     teams: int = 0
-
-    def mpr_horizon(self) -> float:
-        """Mean 100%-restoration hour of the baseline strategy's replications."""
-        base = self.by_strategy[self.baseline]
-        hours = [
-            full_restoration_hour(rep.records.q_households)
-            for rep in base.replications
-        ]
-        horizon = float(np.mean(hours))
-        return max(horizon, 1.0)
 
 
 def run_experiment(

@@ -29,54 +29,52 @@ TIMESERIES_HEADER = (
 )
 
 
-def _strategy_summary(
-    mc: MonteCarloResult,
-    mpr_horizon: float,
-    baseline_mean_trl: float | None,
-) -> ResilienceSummary:
-    losses = [resilience_loss(rep.records.q_households) for rep in mc.replications]
-    mean_trl = float(np.mean(losses))
-    quantiles: dict[float, list[float]] = {lv: [] for lv in DEFAULT_QUANTILE_LEVELS}
-    lights_100: list[float] = []
+_LEVEL_FIELDS = {lv: f"households_{int(lv * 100)}" for lv in DEFAULT_QUANTILE_LEVELS}
+# One replication's TRL, the hours at which its households first reach each
+# quantile level, and the hour at which every traffic light is lit.
+REPLICATION_METRICS = np.dtype(
+    [("trl", float), *((f, int) for f in _LEVEL_FIELDS.values()), ("lights_100", int)]
+)
+
+
+def replication_metrics(mc: MonteCarloResult) -> np.ndarray:
+    """One REPLICATION_METRICS row per replication, in seed order."""
+    rows = []
     for rep in mc.replications:
-        per_rep = restoration_quantiles(rep.records.q_households)
-        for lv in DEFAULT_QUANTILE_LEVELS:
-            quantiles[lv].append(per_rep[lv])
-        q_tl = rep.records.q_traffic_lights
-        lights_100.append(restoration_quantiles(q_tl, (1.0,))[1.0])
-    improvement = None
-    if baseline_mean_trl is not None:
-        improvement = improvement_pct(mean_trl, baseline_mean_trl)
-    return ResilienceSummary(
-        trl=mean_trl,
-        mpr=mpr_horizon,
-        trl_over_mpr_pct=mean_trl / mpr_horizon * 100.0,
-        restoration_hours={lv: float(np.mean(h)) for lv, h in quantiles.items()},
-        lights_restoration_hours_100=float(np.mean(lights_100)),
-        improvement_pct=improvement,
-        replications=mc.n(),
-        ci_halfwidth=mc.ci_halfwidth,
-    )
+        q = rep.records.q_households
+        lights = restoration_quantiles(rep.records.q_traffic_lights, (1.0,))[1.0]
+        rows.append((resilience_loss(q), *restoration_quantiles(q).values(), lights))
+    return np.array(rows, dtype=REPLICATION_METRICS)
 
 
-def build_summaries(
-    experiment: ExperimentResult,
-) -> dict[Strategy, ResilienceSummary]:
-    mpr_horizon = experiment.mpr_horizon()
-    base_mc = experiment.by_strategy[experiment.baseline]
-    base_trl = float(
-        np.mean(
-            [resilience_loss(rep.records.q_households) for rep in base_mc.replications]
-        )
-    )
+def build_summaries(experiment: ExperimentResult) -> dict[Strategy, ResilienceSummary]:
+    """Each strategy's means over its replication metrics; MPR is the
+    baseline's mean 100 % household hour, floored at one hour."""
+    tables = {s: replication_metrics(mc) for s, mc in experiment.by_strategy.items()}
+    base = tables[experiment.baseline]
+    mpr = max(float(np.mean(base["households_100"])), 1.0)
+    base_trl = float(np.mean(base["trl"]))
     out: dict[Strategy, ResilienceSummary] = {}
     for strategy, mc in experiment.by_strategy.items():
+        table = tables[strategy]
+        trl = float(np.mean(table["trl"]))
+        improvement = None
         # undefined for the baseline itself and for a storm that costs the
         # baseline no resilience
-        baseline_ref = (
-            base_trl if strategy is not experiment.baseline and base_trl != 0 else None
+        if strategy is not experiment.baseline and base_trl != 0:
+            improvement = improvement_pct(trl, base_trl)
+        out[strategy] = ResilienceSummary(
+            trl=trl,
+            mpr=mpr,
+            trl_over_mpr_pct=trl / mpr * 100.0,
+            restoration_hours={
+                lv: float(np.mean(table[f])) for lv, f in _LEVEL_FIELDS.items()
+            },
+            lights_restoration_hours_100=float(np.mean(table["lights_100"])),
+            improvement_pct=improvement,
+            replications=mc.n(),
+            ci_halfwidth=mc.ci_halfwidth,
         )
-        out[strategy] = _strategy_summary(mc, mpr_horizon, baseline_ref)
     return out
 
 
@@ -101,17 +99,12 @@ def emit_outputs(experiment: ExperimentResult, out_dir: str | Path) -> list[Path
     written: list[Path] = []
 
     summaries = build_summaries(experiment)
-    strategies = list(experiment.by_strategy)
-    for strategy in strategies:
-        name = (
-            "timeseries.csv"
-            if len(strategies) == 1
-            else f"timeseries_{strategy.value}.csv"
-        )
-        written.append(write_timeseries(experiment.by_strategy[strategy], out / name))
+    for strategy, mc in experiment.by_strategy.items():
+        name = f"timeseries_{strategy.value}" if len(summaries) > 1 else "timeseries"
+        written.append(write_timeseries(mc, out / f"{name}.csv"))
 
     payload = {
-        "mpr": round(experiment.mpr_horizon(), 6),
+        "mpr": round(summaries[experiment.baseline].mpr, 6),
         "baseline": experiment.baseline.value,
         "teams": experiment.teams,
         "confidence": experiment.mc_config.confidence,
@@ -198,7 +191,6 @@ def plot_data(inputs: list[str | Path], out_path: str | Path) -> Path:
     :func:`write_timeseries` writes them.
     """
     columns: dict[str, list[float]] = {}
-    labels: list[str] = []
     max_hours = 0
     for path in inputs:
         path = Path(path)
@@ -221,7 +213,6 @@ def plot_data(inputs: list[str | Path], out_path: str | Path) -> Path:
             tl_cols.append(float(np.mean(tl_vals)))
         columns[f"{label}_q_households"] = hh_cols
         columns[f"{label}_q_traffic_lights"] = tl_cols
-        labels.append(label)
 
     out_path = Path(out_path)
     names = sorted(columns)

@@ -19,7 +19,14 @@ from stormgrid.errors import ConfigError, FormatError
 from stormgrid.fragility import DEFAULT_LINE_CRITICAL_MPH
 from stormgrid.hazard import WindCell
 from stormgrid.network import ComponentKind, DamageLevel, load_networks
-from stormgrid.outputs import TIMESERIES_HEADER, emit_outputs, plot_data
+from stormgrid.metrics import full_restoration_hour, resilience_loss
+from stormgrid.outputs import (
+    TIMESERIES_HEADER,
+    build_summaries,
+    emit_outputs,
+    plot_data,
+    replication_metrics,
+)
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
@@ -324,6 +331,26 @@ class TestEmitOutputs:
             tmp_path / "y/summary.json"
         ).read_bytes()
 
+    def test_replication_metrics_in_seed_order(self, small_experiment):
+        # one row per replication; the summaries are the columns' means
+        exp = small_experiment
+        summaries = build_summaries(exp)
+        base = replication_metrics(exp.by_strategy[exp.baseline])
+        for strategy, mc in exp.by_strategy.items():
+            table = replication_metrics(mc)
+            assert len(table) == mc.n()
+            for row, rep in zip(table, mc.replications):
+                q = rep.records.q_households
+                assert row["trl"] == resilience_loss(q)
+                assert row["households_100"] == full_restoration_hour(q)
+                assert row["lights_100"] == full_restoration_hour(
+                    rep.records.q_traffic_lights
+                )
+            summary = summaries[strategy]
+            assert summary.trl == np.mean(table["trl"])
+            assert summary.restoration_hours[0.75] == np.mean(table["households_75"])
+            assert summary.mpr == max(np.mean(base["households_100"]), 1.0)
+
     def test_plot_data_reshape(self, small_experiment, tmp_path):
         emit_outputs(small_experiment, tmp_path)
         out = plot_data(
@@ -411,6 +438,54 @@ class TestMainEndToEnd:
         for entry in summary["strategies"].values():
             assert entry["mean_trl"] == 0.0
             assert entry["improvement_pct"] is None
+
+    def test_strategy_slower_than_baseline_exceeds_mpr(self, tmp_path, capsys):
+        # distance restores every household at 265 h on average, the
+        # component baseline at 214 h: its mean TRL exceeds MPR, but not its
+        # own mean 100 % household hour
+        files = generate_testbed(
+            TestbedParams(grid_size=5, households=150, substations=2, seed=2,
+                          wind_mph=130.0),
+            tmp_path / "tb",
+        )
+        rc = main([
+            "simulate",
+            "--power", str(files["power"]),
+            "--roads", str(files["roads"]),
+            "--couplings", str(files["couplings"]),
+            "--scenario", str(files["scenario"]),
+            "--teams", "6",
+            "--min-reps", "2",
+            "--max-reps", "4",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 0, capsys.readouterr().err
+        summary = json.loads((tmp_path / "res/summary.json").read_text())
+        assert summary["mpr"] == 214.0
+        distance = summary["strategies"]["distance"]
+        assert distance["restoration_hours_households"]["100"] == 265.0
+        assert distance["trl_over_mpr_pct"] == pytest.approx(113.4, abs=0.05)
+        assert distance["mean_trl"] <= distance["restoration_hours_households"]["100"]
+
+    def test_fuel_source_for_no_plant_exits_2(self, testbed_files, tmp_path, capsys):
+        scenario = tmp_path / "fuel.json"
+        raw = json.loads(testbed_files["scenario"].read_text())
+        scenario.write_text(json.dumps(dict(raw, fuel_sources={"GEN9": [0, 500]})))
+        rc = main([
+            "simulate",
+            "--power", str(testbed_files["power"]),
+            "--roads", str(testbed_files["roads"]),
+            "--couplings", str(testbed_files["couplings"]),
+            "--scenario", str(scenario),
+            "--teams", "6",
+            "--min-reps", "2",
+            "--max-reps", "2",
+            "--out", str(tmp_path / "res"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dangling reference 'GEN9'" in err
+        assert not (tmp_path / "res").exists()
 
     def test_road_file_without_links_exits_2(self, testbed_files, tmp_path, capsys):
         roads = tmp_path / "roads.txt"
@@ -559,13 +634,22 @@ class TestMainEndToEnd:
             ({"repair_overrides": {"pole": [6.0, 3.0, 2.7]}}, "repair row 'pole'"),
             ({"repair_overrides": {"pole": [6.0, 3.0, True]}}, "repair row 'pole'"),
             ({"repair_overrides": {"pole": [6.0, 3.0, "2"]}}, "repair row 'pole'"),
+            ({"runoff_in": {"default": 3.0, "perlink": {"L0": 9.0}}},
+             "unknown runoff_in keys: ['perlink']"),
+            ({"wind_mph": {"cells": [[-1e6, -1e6, 1e6, 1e6, 90.0]], "mph": 90.0}},
+             "unknown wind_mph keys: ['mph']"),
+            ({"substation_fragility": {
+                "moderate": [160.0, 0.2], "severe": [200.0, 0.2],
+                "complete": [250.0, 0.2], "slight": [120.0, 0.2],
+            }}, "unknown substation_fragility keys: ['slight']"),
         ],
         ids=["runoff-string", "drainage-null", "line-one-value", "zero-median",
              "fuel-source-one-coord", "repair-row-scalar", "flag-string",
              "wind-bool", "wind-cell-bool", "wind-cell-string", "drainage-bool",
              "drainage-string", "threshold-bool", "runoff-numeric-string",
              "per-link-runoff-string", "line-bool", "median-string",
-             "fuel-source-bool", "crews-fraction", "crews-bool", "crews-string"],
+             "fuel-source-bool", "crews-fraction", "crews-bool", "crews-string",
+             "runoff-unknown-key", "wind-unknown-key", "fragility-unknown-level"],
     )
     def test_malformed_scenario_value_exits_2_before_networks(
         self, testbed_files, tmp_path, capsys, override, named

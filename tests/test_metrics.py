@@ -106,6 +106,17 @@ class TestQuantiles:
         assert hours == {0.75: 5, 0.90: 5, 1.0: 5}
         assert all(type(h) is int for h in hours.values())
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), max_size=40))
+    ))
+    def test_full_level_is_full_restoration_hour(self, drawn):
+        # Q is a count over one division, so no value lies in [1 - 1e-12, 1):
+        # the 100 % level's tolerance never moves the hour a run stops at
+        n, counts = drawn
+        q = np.array(counts + [n]) / n
+        assert restoration_quantiles(q, (1.0,))[1.0] == full_restoration_hour(q)
+
     def test_never_reached_raises(self):
         s = series([0.5, 0.6])
         with pytest.raises(ValueError):
