@@ -36,7 +36,7 @@ from .hazard import (
     WindCell,
 )
 from .network import ComponentKind, DamageLevel, load_networks
-from .outputs import build_summaries, emit_outputs, plot_data
+from .outputs import check_out_dir, emit_outputs, plot_data
 from .restoration import Strategy
 from .testbed import TestbedParams, generate_testbed
 
@@ -348,6 +348,7 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
 
 
 def _run_simulate(cfg: argparse.Namespace) -> int:
+    check_out_dir(cfg.out)
     scenario_cfg = load_scenario(cfg.scenario)
     net, roads, households = load_networks(cfg.power, cfg.roads, cfg.couplings)
     hazard = replace(
@@ -369,15 +370,15 @@ def _run_simulate(cfg: argparse.Namespace) -> int:
         cfg.mc_config,
     )
     written = emit_outputs(experiment, cfg.out)
-    summaries = build_summaries(experiment)
-    for strategy, summary in summaries.items():
-        mc = experiment.by_strategy[strategy]
-        flag = "" if mc.converged else " (not converged)"
+    summary = json.loads((Path(cfg.out) / "summary.json").read_text())["strategies"]
+    for strategy in experiment.by_strategy:
+        s = summary[strategy.value]
+        flag = "" if s["converged"] else " (not converged)"
         print(
-            f"{strategy.value}: mean TRL {summary.trl:.2f} "
-            f"(TRL/MPR {summary.trl_over_mpr_pct:.1f}%), "
-            f"100% households at {summary.restoration_hours[1.0]:.0f} h, "
-            f"{summary.replications} replications{flag}"
+            f"{strategy.value}: mean TRL {s['mean_trl']:.2f} "
+            f"(TRL/MPR {s['trl_over_mpr_pct']:.1f}%), "
+            f"100% households at {s['restoration_hours_households']['100']:.0f} h, "
+            f"{s['replications']} replications{flag}"
         )
     for path in written:
         print(f"wrote {path}")

@@ -8,12 +8,12 @@ restoration with left rectangles on the hourly grid. A run's maximum possible
 resilience (MPR) is an undisrupted system (Q = 1) over the baseline
 strategy's mean hour of 100 % household restoration, so TRL/MPR is the
 fraction of resilience lost; it exceeds 100 % for a strategy that restores
-households later than the baseline does.
+households later than the baseline does. A replication's TRL is at most its
+100 % household hour, and its quantile hours rise with the level; the
+per-strategy means in ``outputs.summary_payload`` keep both.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -59,33 +59,6 @@ def restoration_quantiles(
             raise ValueError(f"series never reaches quality {level}")
         out[level] = int(hits[0])
     return out
-
-
-@dataclass
-class ResilienceSummary:
-    """Aggregated strategy outcome across replications. Each replication's
-    TRL is at most its 100 % household hour, so the mean TRL is at most their
-    mean, ``restoration_hours[1.0]``; MPR, the baseline's, does not bound it."""
-
-    trl: float
-    mpr: float
-    trl_over_mpr_pct: float
-    restoration_hours: dict[float, float]
-    lights_restoration_hours_100: float
-    improvement_pct: float | None = None
-    replications: int = 0
-    ci_halfwidth: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.trl <= self.restoration_hours[1.0] + 1e-9):
-            raise ValueError(
-                f"resilience loss {self.trl} outside [0, {self.restoration_hours[1.0]}]"
-            )
-        levels = sorted(self.restoration_hours)
-        hours = [self.restoration_hours[lv] for lv in levels]
-        for a, b in zip(hours, hours[1:]):
-            if b < a - 1e-9:
-                raise ValueError("restoration hours must be non-decreasing in level")
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 Both outputs are deterministic for a given run configuration: rows are
 written in seed order with fixed float formatting, and the JSON is emitted
-with sorted keys and rounded values.
+with sorted keys and rounded values. Each replication's TRL and restoration
+hours are computed once, as a row of :func:`replication_metrics`;
+:func:`summary_payload` builds summary.json from the column means of those
+tables, and ``simulate`` prints its lines from that file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +21,20 @@ from .engine import ExperimentResult, MonteCarloResult
 from .errors import FormatError, StormGridError
 from .metrics import (
     DEFAULT_QUANTILE_LEVELS,
-    ResilienceSummary,
     improvement_pct,
     resilience_loss,
     restoration_quantiles,
 )
-from .restoration import Strategy
 
 TIMESERIES_HEADER = (
     "replication,hour,q_households,q_traffic_lights,failed_components,passable_links"
 )
 
 
-_LEVEL_FIELDS = {lv: f"households_{int(lv * 100)}" for lv in DEFAULT_QUANTILE_LEVELS}
+# summary.json's key for each household quantile level, and its field below
+_LEVEL_FIELDS = {
+    f"{int(lv * 100)}": f"households_{int(lv * 100)}" for lv in DEFAULT_QUANTILE_LEVELS
+}
 # One replication's TRL, the hours at which its households first reach each
 # quantile level, and the hour at which every traffic light is lit.
 REPLICATION_METRICS = np.dtype(
@@ -47,35 +52,58 @@ def replication_metrics(mc: MonteCarloResult) -> np.ndarray:
     return np.array(rows, dtype=REPLICATION_METRICS)
 
 
-def build_summaries(experiment: ExperimentResult) -> dict[Strategy, ResilienceSummary]:
-    """Each strategy's means over its replication metrics; MPR is the
-    baseline's mean 100 % household hour, floored at one hour."""
+def summary_payload(experiment: ExperimentResult) -> dict:
+    """summary.json's content: per strategy, the means of its replication
+    metrics, rounded to 6 decimals. MPR is the baseline's mean 100 %
+    household hour, floored at one hour."""
     tables = {s: replication_metrics(mc) for s, mc in experiment.by_strategy.items()}
     base = tables[experiment.baseline]
     mpr = max(float(np.mean(base["households_100"])), 1.0)
     base_trl = float(np.mean(base["trl"]))
-    out: dict[Strategy, ResilienceSummary] = {}
+    strategies = {}
     for strategy, mc in experiment.by_strategy.items():
         table = tables[strategy]
+        means = {f: round(float(np.mean(table[f])), 6) for f in table.dtype.names}
         trl = float(np.mean(table["trl"]))
         improvement = None
         # undefined for the baseline itself and for a storm that costs the
         # baseline no resilience
         if strategy is not experiment.baseline and base_trl != 0:
-            improvement = improvement_pct(trl, base_trl)
-        out[strategy] = ResilienceSummary(
-            trl=trl,
-            mpr=mpr,
-            trl_over_mpr_pct=trl / mpr * 100.0,
-            restoration_hours={
-                lv: float(np.mean(table[f])) for lv, f in _LEVEL_FIELDS.items()
+            improvement = round(improvement_pct(trl, base_trl), 6)
+        strategies[strategy.value] = {
+            "mean_trl": means["trl"],
+            "trl_over_mpr_pct": round(trl / mpr * 100.0, 6),
+            "improvement_pct": improvement,
+            "restoration_hours_households": {
+                key: means[f] for key, f in _LEVEL_FIELDS.items()
             },
-            lights_restoration_hours_100=float(np.mean(table["lights_100"])),
-            improvement_pct=improvement,
-            replications=mc.n(),
-            ci_halfwidth=mc.ci_halfwidth,
+            "restoration_hours_lights_100": means["lights_100"],
+            "replications": mc.n(),
+            "mean_avg_quality": round(mc.mean_statistic, 6),
+            "ci_halfwidth": round(mc.ci_halfwidth, 6),
+            "converged": mc.converged,
+        }
+    return {
+        "mpr": round(mpr, 6),
+        "baseline": experiment.baseline.value,
+        "teams": experiment.teams,
+        "confidence": experiment.mc_config.confidence,
+        "relative_halfwidth": experiment.mc_config.relative_halfwidth,
+        "base_seed": experiment.mc_config.base_seed,
+        "strategies": strategies,
+    }
+
+
+def check_out_dir(path: str | Path) -> None:
+    """Fail before a run if ``path`` cannot become the output directory: the
+    nearest part of it that exists must be a directory that can be written."""
+    path = Path(path)
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not (found.is_dir() and os.access(found, os.W_OK | os.X_OK)):
+        raise StormGridError(
+            f"cannot create output directory {path}: "
+            f"{found} is not a writable directory"
         )
-    return out
 
 
 def write_timeseries(mc: MonteCarloResult, path: Path) -> Path:
@@ -95,49 +123,20 @@ def write_timeseries(mc: MonteCarloResult, path: Path) -> Path:
 def emit_outputs(experiment: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write per-strategy timeseries CSVs plus summary.json under out_dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StormGridError(f"cannot create output directory {out}: {exc}") from exc
     written: list[Path] = []
-
-    summaries = build_summaries(experiment)
+    several = len(experiment.by_strategy) > 1
     for strategy, mc in experiment.by_strategy.items():
-        name = f"timeseries_{strategy.value}" if len(summaries) > 1 else "timeseries"
+        name = f"timeseries_{strategy.value}" if several else "timeseries"
         written.append(write_timeseries(mc, out / f"{name}.csv"))
 
-    payload = {
-        "mpr": round(summaries[experiment.baseline].mpr, 6),
-        "baseline": experiment.baseline.value,
-        "teams": experiment.teams,
-        "confidence": experiment.mc_config.confidence,
-        "relative_halfwidth": experiment.mc_config.relative_halfwidth,
-        "base_seed": experiment.mc_config.base_seed,
-        "strategies": {},
-    }
-    for strategy, summary in summaries.items():
-        mc = experiment.by_strategy[strategy]
-        payload["strategies"][strategy.value] = {
-            "mean_trl": round(summary.trl, 6),
-            "trl_over_mpr_pct": round(summary.trl_over_mpr_pct, 6),
-            "improvement_pct": (
-                None
-                if summary.improvement_pct is None
-                else round(summary.improvement_pct, 6)
-            ),
-            "restoration_hours_households": {
-                f"{int(lv * 100)}": round(h, 6)
-                for lv, h in summary.restoration_hours.items()
-            },
-            "restoration_hours_lights_100": round(
-                summary.lights_restoration_hours_100, 6
-            ),
-            "replications": summary.replications,
-            "mean_avg_quality": round(mc.mean_statistic, 6),
-            "ci_halfwidth": round(summary.ci_halfwidth, 6),
-            "converged": mc.converged,
-        }
     summary_path = out / "summary.json"
     try:
         with open(summary_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(summary_payload(experiment), fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise StormGridError(f"cannot write summary {summary_path}: {exc}") from exc
@@ -190,8 +189,7 @@ def plot_data(inputs: list[str | Path], out_path: str | Path) -> Path:
     replication's rows must run from hour 0 in steps of one, as
     :func:`write_timeseries` writes them.
     """
-    columns: dict[str, list[float]] = {}
-    max_hours = 0
+    columns: dict[str, np.ndarray] = {}
     for path in inputs:
         path = Path(path)
         label = path.stem
@@ -200,28 +198,25 @@ def plot_data(inputs: list[str | Path], out_path: str | Path) -> Path:
         elif label == "timeseries":
             label = "run"
         by_rep = _read_quality(path)
-        horizon = max(len(series) for series in by_rep.values()) - 1
-        max_hours = max(max_hours, horizon)
-        hh_cols, tl_cols = [], []
-        for hour in range(horizon + 1):
-            hh_vals, tl_vals = [], []
-            for series in by_rep.values():
-                q_hh, q_tl = series[hour] if hour < len(series) else (1.0, 1.0)
-                hh_vals.append(q_hh)
-                tl_vals.append(q_tl)
-            hh_cols.append(float(np.mean(hh_vals)))
-            tl_cols.append(float(np.mean(tl_vals)))
-        columns[f"{label}_q_households"] = hh_cols
-        columns[f"{label}_q_traffic_lights"] = tl_cols
+        # (curve, hour, replication): the replication axis is contiguous, so
+        # each hour's mean sums its replications in file order, pairwise
+        q = np.ones((2, max(map(len, by_rep.values())), len(by_rep)))
+        for r, series in enumerate(by_rep.values()):
+            q[:, : len(series), r] = np.array(series).T
+        hh, tl = q.mean(axis=2)
+        columns[f"{label}_q_households"] = hh
+        columns[f"{label}_q_traffic_lights"] = tl
 
-    out_path = Path(out_path)
     names = sorted(columns)
-    with open(out_path, "w") as fh:
-        fh.write("hour," + ",".join(names) + "\n")
-        for hour in range(max_hours + 1):
-            vals = []
-            for name in names:
-                col = columns[name]
-                vals.append(f"{col[hour] if hour < len(col) else 1.0:.6f}")
-            fh.write(f"{hour}," + ",".join(vals) + "\n")
+    table = np.ones((max(map(len, columns.values())), len(names)))
+    for j, name in enumerate(names):
+        table[: len(columns[name]), j] = columns[name]
+    out_path = Path(out_path)
+    try:
+        with open(out_path, "w") as fh:
+            fh.write("hour," + ",".join(names) + "\n")
+            for hour, row in enumerate(table.tolist()):
+                fh.write(f"{hour}," + ",".join(f"{v:.6f}" for v in row) + "\n")
+    except OSError as exc:
+        raise StormGridError(f"cannot write curves {out_path}: {exc}") from exc
     return out_path

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import ConfigError
+from .errors import ConfigError, StormGridError
 
 
 @dataclass
@@ -85,7 +85,10 @@ def _node_name(r: int, c: int) -> str:
 def generate_testbed(params: TestbedParams, out_dir: str | Path) -> dict[str, Path]:
     """Write power.txt, roads.txt, couplings.txt, scenario.json under out_dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StormGridError(f"cannot create testbed directory {out}: {exc}") from exc
     rng = np.random.default_rng(params.seed)
     g = params.grid_size
     side = g + 1

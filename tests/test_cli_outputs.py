@@ -22,10 +22,10 @@ from stormgrid.network import ComponentKind, DamageLevel, load_networks
 from stormgrid.metrics import full_restoration_hour, resilience_loss
 from stormgrid.outputs import (
     TIMESERIES_HEADER,
-    build_summaries,
     emit_outputs,
     plot_data,
     replication_metrics,
+    summary_payload,
 )
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
@@ -332,9 +332,9 @@ class TestEmitOutputs:
         ).read_bytes()
 
     def test_replication_metrics_in_seed_order(self, small_experiment):
-        # one row per replication; the summaries are the columns' means
+        # one row per replication; the summary holds the columns' means
         exp = small_experiment
-        summaries = build_summaries(exp)
+        payload = summary_payload(exp)
         base = replication_metrics(exp.by_strategy[exp.baseline])
         for strategy, mc in exp.by_strategy.items():
             table = replication_metrics(mc)
@@ -346,10 +346,12 @@ class TestEmitOutputs:
                 assert row["lights_100"] == full_restoration_hour(
                     rep.records.q_traffic_lights
                 )
-            summary = summaries[strategy]
-            assert summary.trl == np.mean(table["trl"])
-            assert summary.restoration_hours[0.75] == np.mean(table["households_75"])
-            assert summary.mpr == max(np.mean(base["households_100"]), 1.0)
+            summary = payload["strategies"][strategy.value]
+            assert summary["mean_trl"] == round(np.mean(table["trl"]), 6)
+            assert summary["restoration_hours_households"]["75"] == round(
+                np.mean(table["households_75"]), 6
+            )
+        assert payload["mpr"] == round(max(np.mean(base["households_100"]), 1.0), 6)
 
     def test_plot_data_reshape(self, small_experiment, tmp_path):
         emit_outputs(small_experiment, tmp_path)
@@ -365,6 +367,42 @@ class TestEmitOutputs:
         assert "traffic-light_q_traffic_lights" in header
         # mean curves end at full service
         assert lines[-1].split(",")[1:] == ["1.000000"] * (len(header) - 1)
+
+    def test_plot_data_values(self, tmp_path):
+        # three files of 200+ replications with unequal horizons, within and
+        # across files: each cell is its hour's mean over the file's
+        # replications, finished ones held at 1.0, and 1.0 past the file's end
+        rng = np.random.default_rng(26)
+        inputs, expected = [], {}
+        for label, reps, longest in (("a", 200, 30), ("b", 233, 75), ("c", 257, 12)):
+            series = []
+            for _ in range(reps):
+                hours = int(rng.integers(0, longest))
+                q = np.sort(rng.integers(0, 10**6, (hours, 2)), axis=0) / 10**6
+                series.append(np.vstack([q, [1.0, 1.0]]).tolist())
+            path = tmp_path / f"timeseries_{label}.csv"
+            with open(path, "w") as fh:
+                fh.write(TIMESERIES_HEADER + "\n")
+                for rep, rows in enumerate(series):
+                    for hour, (hh, tl) in enumerate(rows):
+                        fh.write(f"{rep},{hour},{hh:.6f},{tl:.6f},0,0\n")
+            inputs.append(path)
+            for c, curve in enumerate(("q_households", "q_traffic_lights")):
+                column = expected[f"{label}_{curve}"] = []
+                for hour in range(max(map(len, series))):
+                    values = [r[hour][c] if hour < len(r) else 1.0 for r in series]
+                    column.append(f"{float(np.mean(values)):.6f}")
+        out = plot_data(inputs, tmp_path / "curves.csv")
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        assert header == ["hour", *sorted(expected)]
+        assert len(lines) - 1 == max(map(len, expected.values())) == 75
+        for hour, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert cells[0] == str(hour)
+            for name, cell in zip(header[1:], cells[1:]):
+                column = expected[name]
+                assert cell == (column[hour] if hour < len(column) else "1.000000")
 
 
 class TestMainEndToEnd:
@@ -752,6 +790,38 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{path}:{line}:" in err and named in err
         assert not (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "make-testbed", "plot-data"])
+    def test_unwritable_out_exits_2(
+        self, testbed_files, tmp_path, capsys, monkeypatch, command
+    ):
+        # an --out that is a file, or whose directory is missing, stops the
+        # command with the path named, and simulate stops before it runs
+        def not_run(*args):
+            raise AssertionError("experiment run")
+
+        monkeypatch.setattr(cli, "run_experiment", not_run)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        series = tmp_path / "timeseries.csv"
+        series.write_text(TIMESERIES_HEADER + "\n0,0,1.0,1.0,0,10\n")
+        args, out = {
+            "simulate": ([
+                "simulate",
+                "--power", str(testbed_files["power"]),
+                "--roads", str(testbed_files["roads"]),
+                "--couplings", str(testbed_files["couplings"]),
+                "--scenario", str(testbed_files["scenario"]),
+                "--teams", "6",
+            ], taken),
+            "make-testbed": (["make-testbed", "--grid-size", "5"], taken),
+            "plot-data": (["plot-data", str(series)], tmp_path / "missing/curves.csv"),
+        }[command]
+        rc = main([*args, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot") and str(out) in err
+        assert taken.read_text() == ""
 
     def test_scenario_checked_before_networks(self, testbed_files, tmp_path, capsys):
         power = tmp_path / "bad_power.txt"

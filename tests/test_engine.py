@@ -22,7 +22,7 @@ from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
 from stormgrid.metrics import full_restoration_hour, resilience_loss
 from stormgrid.network import load_networks
-from stormgrid.outputs import build_summaries
+from stormgrid.outputs import summary_payload
 from stormgrid.restoration import Strategy, complete_due_jobs
 from stormgrid.testbed import TestbedParams, generate_testbed
 
@@ -371,7 +371,7 @@ class TestRunExperiment:
         )
         assert set(exp.by_strategy) == set(Strategy)
         assert exp.baseline is Strategy.COMPONENT_BASED
-        assert build_summaries(exp)[exp.baseline].mpr > 0
+        assert summary_payload(exp)["mpr"] > 0
         for strategy, result in exp.by_strategy.items():
             assert result.n() == 4
         # paired seeds: identical failure sets per replication across strategies

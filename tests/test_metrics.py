@@ -9,19 +9,21 @@ from scipy.special import ndtri
 
 from stormgrid.engine import (
     RECORD_DTYPE,
+    ExperimentResult,
     MonteCarloConfig,
+    MonteCarloResult,
     ReplicationResult,
     run_monte_carlo,
 )
 from stormgrid.errors import UndefinedImprovementError
 from stormgrid.metrics import (
-    ResilienceSummary,
     full_restoration_hour,
     improvement_pct,
     normal_ci_halfwidth,
     resilience_loss,
     restoration_quantiles,
 )
+from stormgrid.outputs import summary_payload
 from stormgrid.restoration import Strategy
 
 from .oracles import bootstrap_mean_ci
@@ -140,34 +142,48 @@ class TestQualitySeries:
         assert out.statistics.tolist() == [pytest.approx(0.5)] * 2
 
 
-class TestSummary:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ResilienceSummary(
-                trl=200.0,
-                mpr=100.0,
-                trl_over_mpr_pct=200.0,
-                restoration_hours={0.75: 1, 0.9: 2, 1.0: 3},
-                lights_restoration_hours_100=3,
-            )
-        with pytest.raises(ValueError):
-            ResilienceSummary(
-                trl=10.0,
-                mpr=100.0,
-                trl_over_mpr_pct=10.0,
-                restoration_hours={0.75: 5, 0.9: 2, 1.0: 3},
-                lights_restoration_hours_100=3,
-            )
+@st.composite
+def experiments(draw):
+    """A hand-built experiment over two or more strategies: each replication
+    has non-decreasing household and light columns of k/n that end at 1."""
+    strategies = draw(
+        st.lists(st.sampled_from(list(Strategy)), min_size=2, max_size=3, unique=True)
+    )
 
-    def test_valid_summary(self):
-        s = ResilienceSummary(
-            trl=58.18,
-            mpr=174.0,
-            trl_over_mpr_pct=33.4,
-            restoration_hours={0.75: 92, 0.9: 140, 1.0: 174},
-            lights_restoration_hours_100=165,
+    def column(length):
+        n = draw(st.integers(1, 1000))
+        counts = draw(st.lists(st.integers(0, n), min_size=length, max_size=length))
+        return [k / n for k in sorted(counts)] + [1.0]
+
+    by_strategy = {}
+    for strategy in strategies:
+        reps = []
+        for seed in range(draw(st.integers(1, 6))):
+            length = draw(st.integers(0, 40))
+            rows = enumerate(zip(column(length), column(length)))
+            records = np.array(
+                [(h, hh, tl, 0, 0, 0, 0) for h, (hh, tl) in rows], dtype=RECORD_DTYPE
+            ).view(np.recarray)
+            reps.append(ReplicationResult(seed, strategy, records, [], []))
+        stats_ = np.array([rep.records.q_households.mean() for rep in reps])
+        by_strategy[strategy] = MonteCarloResult(
+            reps, stats_, float(stats_.mean()), 0.0, True
         )
-        assert s.trl < s.mpr
+    return ExperimentResult(by_strategy, strategies[0], MonteCarloConfig())
+
+
+class TestSummaryPayload:
+    @settings(max_examples=100, deadline=None)
+    @given(experiments())
+    def test_means_keep_per_replication_invariants(self, experiment):
+        # each replication's TRL is at most its 100 % household hour and its
+        # quantile hours rise with the level, so their means do too
+        strategies = summary_payload(experiment)["strategies"]
+        assert list(strategies) == [s.value for s in experiment.by_strategy]
+        for block in strategies.values():
+            hours = block["restoration_hours_households"]
+            assert 0 <= block["mean_trl"] <= hours["100"]
+            assert hours["75"] <= hours["90"] <= hours["100"]
 
 
 class TestStatHelpers:
