@@ -63,21 +63,21 @@ def summary_payload(experiment: ExperimentResult) -> dict:
     strategies = {}
     for strategy, mc in experiment.by_strategy.items():
         table = tables[strategy]
-        means = {f: round(float(np.mean(table[f])), 6) for f in table.dtype.names}
-        trl = float(np.mean(table["trl"]))
+        means = {f: float(np.mean(table[f])) for f in table.dtype.names}
+        trl = means["trl"]
         improvement = None
         # undefined for the baseline itself and for a storm that costs the
         # baseline no resilience
         if strategy is not experiment.baseline and base_trl != 0:
             improvement = round(improvement_pct(trl, base_trl), 6)
         strategies[strategy.value] = {
-            "mean_trl": means["trl"],
+            "mean_trl": round(trl, 6),
             "trl_over_mpr_pct": round(trl / mpr * 100.0, 6),
             "improvement_pct": improvement,
             "restoration_hours_households": {
-                key: means[f] for key, f in _LEVEL_FIELDS.items()
+                key: round(means[f], 6) for key, f in _LEVEL_FIELDS.items()
             },
-            "restoration_hours_lights_100": means["lights_100"],
+            "restoration_hours_lights_100": round(means["lights_100"], 6),
             "replications": mc.n(),
             "mean_avg_quality": round(mc.mean_statistic, 6),
             "ci_halfwidth": round(mc.ci_halfwidth, 6),
