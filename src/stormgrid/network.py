@@ -14,8 +14,9 @@ up to its plant, and service is read from those intervals with two
 ``bincount`` calls; a meshed grid falls back to a connected-components
 search over the conducting subgraph.
 
-Network files are line-record text: one record per line, ``#`` comments,
-whitespace-separated typed columns (see README for the three schemas).
+Network files are line-record text: one record per line, whitespace-separated
+typed columns (see README for the three schemas), and ``#`` starting a comment
+anywhere on a line. One table gives every record tag's fields.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -267,132 +269,91 @@ class PowerIndex:
 
 _KIND_BY_NAME = {k.value: k for k in ComponentKind}
 
+#: Per record tag: its fields, and whether its first field is unique among
+#: the tag's records. The fields named in ``_NUMBERS`` are finite numbers.
+_RECORDS = {
+    "component": ("id kind x y", True),
+    "edge": ("id_a id_b", False),
+    "intersection": ("id x y", True),
+    "link": ("id a b length_m", True),
+    "household": ("id x y component", True),
+    "light": ("id intersection component", True),
+    "fuel": ("plant intersection", True),
+}
+_NUMBERS = {"x": "x coordinate", "y": "y coordinate", "length_m": "length"}
 
-def _records(path: Path):
+
+def _read(path: Path, *tags: str) -> dict[str, list[list]]:
+    """The records of one network file by tag, as columns in file order.
+
+    A tag's columns are its records' line numbers, then one per field, the
+    numeric ones as floats. ``#`` starts a comment anywhere on a line. Raises
+    :class:`FormatError` for an unknown tag or a wrong field count, then,
+    tag by tag, for a bad or non-finite number and a repeated unique field.
+    """
+    width = {tag: len(_RECORDS[tag][0].split()) + 1 for tag in tags}
+    line_nos: dict[str, list[int]] = {tag: [] for tag in tags}
+    tokens: dict[str, list[str]] = {tag: [] for tag in tags}
     try:
         with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
+            for line_no, line in enumerate(fh, start=1):
+                rec = line.partition("#")[0].split()
+                if not rec:
                     continue
-                yield line_no, line.split()
+                tag = rec[0]
+                if tag not in width:
+                    raise FormatError(path, line_no, f"unknown record type {tag!r}")
+                if len(rec) != width[tag]:
+                    raise FormatError(path, line_no, f"{tag} needs: {_RECORDS[tag][0]}")
+                line_nos[tag].append(line_no)
+                tokens[tag].extend(rec)
     except UnicodeDecodeError as exc:
         raise FormatError(path, 0, f"not UTF-8 text: {exc.reason}") from None
+    out = {}
+    for tag, nums in line_nos.items():
+        names = _RECORDS[tag][0].split()
+        cols = [nums] + [tokens[tag][i :: width[tag]] for i in range(1, width[tag])]
+        for i, name in enumerate(names, start=1):
+            if name in _NUMBERS:
+                cols[i] = _numbers(path, nums, cols[i], _NUMBERS[name])
+        if _RECORDS[tag][1] and len(set(cols[1])) < len(nums):
+            first: dict[str, int] = {}
+            for line_no, rid in zip(nums, cols[1]):
+                if first.setdefault(rid, line_no) != line_no:
+                    raise FormatError(path, line_no, f"duplicate {tag} {names[0]} {rid!r}")
+        out[tag] = cols
+    return out
 
 
-def _parse_float(path, line_no, token, what):
+def _numbers(path: Path, line_nos: list[int], tokens: list[str], what: str) -> list[float]:
+    """``tokens`` as floats; a bad or non-finite one raises :class:`FormatError`."""
     try:
-        value = float(token)
+        values = list(map(float, tokens))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise FormatError(path, line_no, f"bad {what}: {token!r}") from None
-    if not math.isfinite(value):
-        raise FormatError(path, line_no, f"{what} must be finite: {token!r}")
-    return value
+        pass
+    for line_no, token in zip(line_nos, tokens):
+        try:
+            value = float(token)
+        except ValueError:
+            raise FormatError(path, line_no, f"bad {what}: {token!r}") from None
+        if not math.isfinite(value):
+            raise FormatError(path, line_no, f"{what} must be finite: {token!r}")
 
 
-def load_power_file(path: str | Path) -> tuple[dict[str, PowerComponent], list]:
-    path = Path(path)
-    components: dict[str, PowerComponent] = {}
-    edges: list[tuple[str, str]] = []
-    for line_no, toks in _records(path):
-        tag = toks[0]
-        if tag == "component":
-            if len(toks) != 5:
-                raise FormatError(path, line_no, "component needs: id kind x y")
-            _, cid, kind_s, xs, ys = toks
-            if kind_s not in _KIND_BY_NAME:
-                raise FormatError(path, line_no, f"unknown component kind {kind_s!r}")
-            if cid in components:
-                raise FormatError(path, line_no, f"duplicate component id {cid!r}")
-            x = _parse_float(path, line_no, xs, "x coordinate")
-            y = _parse_float(path, line_no, ys, "y coordinate")
-            components[cid] = PowerComponent(
-                id=cid, kind=_KIND_BY_NAME[kind_s], location=(x, y)
-            )
-        elif tag == "edge":
-            if len(toks) != 3:
-                raise FormatError(path, line_no, "edge needs: id_a id_b")
-            edges.append((toks[1], toks[2], line_no))
-        else:
-            raise FormatError(path, line_no, f"unknown record type {tag!r}")
-    resolved = []
-    for a, b, line_no in edges:
-        for cid in (a, b):
-            if cid not in components:
-                raise DanglingReferenceError(
-                    cid, f"edge at {path}:{line_no} names a missing component"
-                )
-        resolved.append((a, b))
-    return components, resolved
-
-
-def load_road_file(path: str | Path) -> RoadNetwork:
-    path = Path(path)
-    intersections: dict[str, tuple[float, float]] = {}
-    links: dict[str, RoadLink] = {}
-    pending = []
-    for line_no, toks in _records(path):
-        tag = toks[0]
-        if tag == "intersection":
-            if len(toks) != 4:
-                raise FormatError(path, line_no, "intersection needs: id x y")
-            _, nid, xs, ys = toks
-            if nid in intersections:
-                raise FormatError(path, line_no, f"duplicate intersection id {nid!r}")
-            intersections[nid] = (
-                _parse_float(path, line_no, xs, "x coordinate"),
-                _parse_float(path, line_no, ys, "y coordinate"),
-            )
-        elif tag == "link":
-            if len(toks) != 5:
-                raise FormatError(path, line_no, "link needs: id a b length_m")
-            _, lid, a, b, ls = toks
-            length = _parse_float(path, line_no, ls, "length")
-            if length <= 0:
-                raise FormatError(path, line_no, f"link {lid}: length must be > 0")
-            pending.append((lid, a, b, length, line_no))
-        else:
-            raise FormatError(path, line_no, f"unknown record type {tag!r}")
-    for lid, a, b, length, line_no in pending:
-        if lid in links:
-            raise FormatError(path, line_no, f"duplicate link id {lid!r}")
-        for nid in (a, b):
-            if nid not in intersections:
-                raise DanglingReferenceError(
-                    nid, f"link {lid} at {path}:{line_no} names a missing intersection"
-                )
-        links[lid] = RoadLink(id=lid, endpoints=(a, b), length_m=length)
-    if not links:
-        # every component is mapped to its nearest link, so there must be one
-        raise FormatError(path, 0, "no link records; need at least one road link")
-    return RoadNetwork(links=links, intersections=intersections, traffic_lights={})
-
-
-def load_coupling_file(path: str | Path):
-    path = Path(path)
-    households: list[tuple[str, float, float, str, int]] = []
-    lights: list[tuple[str, str, str, int]] = []
-    fuel: list[tuple[str, str, int]] = []
-    for line_no, toks in _records(path):
-        tag = toks[0]
-        if tag == "household":
-            if len(toks) != 5:
-                raise FormatError(path, line_no, "household needs: id x y component")
-            _, hid, xs, ys, comp = toks
-            x = _parse_float(path, line_no, xs, "x coordinate")
-            y = _parse_float(path, line_no, ys, "y coordinate")
-            households.append((hid, x, y, comp, line_no))
-        elif tag == "light":
-            if len(toks) != 4:
-                raise FormatError(path, line_no, "light needs: id intersection component")
-            lights.append((toks[1], toks[2], toks[3], line_no))
-        elif tag == "fuel":
-            if len(toks) != 3:
-                raise FormatError(path, line_no, "fuel needs: plant intersection")
-            fuel.append((toks[1], toks[2], line_no))
-        else:
-            raise FormatError(path, line_no, f"unknown record type {tag!r}")
-    return households, lights, fuel
+def _check_refs(path: Path, cols: list[list], fields: tuple, known: dict, message: str):
+    """Raise :class:`DanglingReferenceError` for the first id, in file order,
+    in the columns ``fields`` of one tag's ``cols`` that ``known`` lacks;
+    ``message`` is formatted with the record's ``id`` and ``at``, file:line.
+    """
+    if known.keys() >= set().union(*(cols[f] for f in fields)):
+        return
+    for rec in zip(*cols):
+        for f in fields:
+            if rec[f] not in known:
+                at = f"{path}:{rec[0]}"
+                raise DanglingReferenceError(rec[f], message.format(id=rec[1], at=at))
 
 
 #: Candidate links the k-d tree gives each row of assign_nearest_road_links.
@@ -445,69 +406,71 @@ def load_networks(
     a traffic light's feed component cannot reach a plant in the pristine
     network.
     """
-    components, edges = load_power_file(power_file)
-    roads = load_road_file(road_file)
-    hh_records, light_records, fuel_records = load_coupling_file(coupling_file)
+    power_file, road_file, coupling_file = map(Path, (power_file, road_file, coupling_file))
+    power = _read(power_file, "component", "edge")
+    components: dict[str, PowerComponent] = {}
+    for line_no, cid, kind, x, y in zip(*power["component"]):
+        if kind not in _KIND_BY_NAME:
+            raise FormatError(power_file, line_no, f"unknown component kind {kind!r}")
+        components[cid] = PowerComponent(id=cid, kind=_KIND_BY_NAME[kind], location=(x, y))
+    _check_refs(power_file, power["edge"], (1, 2), components,
+                "edge at {at} names a missing component")
 
-    coupling_path = Path(coupling_file)
-    households: list[Household] = []
-    seen: set[str] = set()
-    for hid, x, y, comp, line_no in hh_records:
-        if comp not in components:
-            raise DanglingReferenceError(
-                comp,
-                f"household {hid} at {coupling_path}:{line_no} attaches to a missing component",
-            )
-        if hid in seen:
-            raise FormatError(coupling_path, line_no, f"duplicate household id {hid!r}")
-        households.append(Household(id=hid, location=(x, y), attachment=comp))
-        seen.add(hid)
+    road = _read(road_file, "intersection", "link")
+    _, nids, xs, ys = road["intersection"]
+    intersections = dict(zip(nids, zip(xs, ys)))
+    links: dict[str, RoadLink] = {}
+    for line_no, lid, a, b, length in zip(*road["link"]):
+        if length <= 0:
+            raise FormatError(road_file, line_no, f"link {lid}: length must be > 0")
+        links[lid] = RoadLink(id=lid, endpoints=(a, b), length_m=length)
+    _check_refs(road_file, road["link"], (2, 3), intersections,
+                "link {id} at {at} names a missing intersection")
+    if not links:
+        # every component is mapped to its nearest link, so there must be one
+        raise FormatError(road_file, 0, "no link records; need at least one road link")
 
-    for lid, inter, comp, line_no in light_records:
-        if inter not in roads.intersections:
-            raise DanglingReferenceError(
-                inter, f"light {lid} at {coupling_path}:{line_no} names a missing intersection"
-            )
-        if comp not in components:
-            raise DanglingReferenceError(
-                comp, f"light {lid} at {coupling_path}:{line_no} is fed by a missing component"
-            )
-        roads.traffic_lights[lid] = TrafficLight(
-            id=lid, intersection=inter, feed_component=comp
-        )
-
-    plants = [c.id for c in components.values() if c.kind is ComponentKind.PLANT]
-    fuel_source: dict[str, str] = {}
-    for plant, inter, line_no in fuel_records:
-        if plant not in components:
-            raise DanglingReferenceError(
-                plant, f"fuel record at {coupling_path}:{line_no} names a missing plant"
-            )
+    coupling = _read(coupling_file, "household", "light", "fuel")
+    for tag, fields, known, message in [
+        ("household", (4,), components, "household {id} at {at} attaches to a missing component"),
+        ("light", (2,), intersections, "light {id} at {at} names a missing intersection"),
+        ("light", (3,), components, "light {id} at {at} is fed by a missing component"),
+        ("fuel", (1,), components, "fuel record at {at} names a missing plant"),
+        ("fuel", (2,), intersections, "fuel record at {at} names a missing intersection"),
+    ]:
+        _check_refs(coupling_file, coupling[tag], fields, known, message)
+    for line_no, plant in zip(*coupling["fuel"][:2]):
         if components[plant].kind is not ComponentKind.PLANT:
             raise FormatError(
-                coupling_path, line_no, f"fuel source on non-plant component {plant!r}"
+                coupling_file, line_no, f"fuel source on non-plant component {plant!r}"
             )
-        if inter not in roads.intersections:
-            raise DanglingReferenceError(
-                inter, f"fuel record at {coupling_path}:{line_no} names a missing intersection"
-            )
-        fuel_source[plant] = inter
 
+    households = [
+        Household(id=hid, location=(x, y), attachment=comp)
+        for _, hid, x, y, comp in zip(*coupling["household"])
+    ]
+    lights = {
+        lid: TrafficLight(id=lid, intersection=inter, feed_component=comp)
+        for _, lid, inter, comp in zip(*coupling["light"])
+    }
+    roads = RoadNetwork(links=links, intersections=intersections, traffic_lights=lights)
     net = PowerNetwork(
         components=components,
-        edges=edges,
-        plants=plants,
-        fuel_source=fuel_source,
+        edges=list(zip(*power["edge"][1:])),
+        plants=[c.id for c in components.values() if c.kind is ComponentKind.PLANT],
+        fuel_source=dict(zip(*coupling["fuel"][1:])),
     )
 
     idx = net.index
     powered = idx.powered_mask(np.ones(len(idx.ids), dtype=bool))
-    lights = roads.traffic_lights.values()
-    for name, comp in [(f"household {hh.id}", hh.attachment) for hh in households] + [
-        (f"traffic light {tl.id}", tl.feed_component) for tl in lights
-    ]:
-        if not powered[idx.pos[comp]]:
-            raise DisconnectedGridError(
-                f"{name} (fed by {comp}) cannot reach a plant in the pristine network"
-            )
+    dark = {idx.ids[i] for i in np.flatnonzero(~powered)}
+    if dark:
+        for name, rid, comp in chain(
+            (("household", hh.id, hh.attachment) for hh in households),
+            (("traffic light", tl.id, tl.feed_component) for tl in lights.values()),
+        ):
+            if comp in dark:
+                raise DisconnectedGridError(
+                    f"{name} {rid} (fed by {comp}) cannot reach a plant in the pristine network"
+                )
     return net, roads, households

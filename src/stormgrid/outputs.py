@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import ExperimentResult, MonteCarloResult
-from .errors import FormatError, StormGridError
+from .errors import ConfigError, FormatError, StormGridError
 from .metrics import (
     DEFAULT_QUANTILE_LEVELS,
     improvement_pct,
@@ -187,16 +187,24 @@ def plot_data(inputs: list[str | Path], out_path: str | Path) -> Path:
     quality by hour), averaged over its replications; finished replications
     are held at quality 1.0 out to the longest horizon in that file. Each
     replication's rows must run from hour 0 in steps of one, as
-    :func:`write_timeseries` writes them.
+    :func:`write_timeseries` writes them. Two inputs whose file names give
+    the same label raise :class:`ConfigError` before any file is read.
     """
-    columns: dict[str, np.ndarray] = {}
-    for path in inputs:
-        path = Path(path)
+    labels: dict[str, Path] = {}
+    for path in map(Path, inputs):
         label = path.stem
         if label.startswith("timeseries_"):
             label = label[len("timeseries_"):]
         elif label == "timeseries":
             label = "run"
+        if label in labels:
+            raise ConfigError(
+                f"plot-data inputs {labels[label]} and {path} both give the label "
+                f"{label!r}; each input needs a file name of its own"
+            )
+        labels[label] = path
+    columns: dict[str, np.ndarray] = {}
+    for label, path in labels.items():
         by_rep = _read_quality(path)
         # (curve, hour, replication): the replication axis is contiguous, so
         # each hour's mean sums its replications in file order, pairwise

@@ -1,6 +1,7 @@
 """Independent reference implementations kept deliberately naive.
 
-These run before and beside the package code: plain-python breadth-first
+These run before and beside the package code: the network files split line
+by line on whitespace, plain-python breadth-first
 reachability for connectivity, the breadth-first forest over neighbour lists,
 high-precision curve evaluation through mpmath for the fragility formulas,
 the failure draw walked one component at a time over the package's scalar
@@ -36,6 +37,35 @@ from stormgrid.network import ComponentKind, DamageLevel
 from stormgrid.restoration import JobTable, complete_due_jobs, start_pending_jobs
 
 mp.mp.dps = 40
+
+
+def naive_network_records(power, roads, couplings):
+    """The records of the three network files as plain tuples, in file order.
+
+    Each line is cut at its first ``#`` and split on whitespace; its first
+    word names the record and the rest are its fields in the README's column
+    order, with coordinates and lengths read by ``float``.
+    """
+    rows = {}
+    for path in (power, roads, couplings):
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                words = line.split("#")[0].split()
+                if words:
+                    rows.setdefault(words[0], []).append(words[1:])
+    return {
+        "components": [
+            (cid, kind, float(x), float(y)) for cid, kind, x, y in rows.get("component", [])
+        ],
+        "edges": [(a, b) for a, b in rows.get("edge", [])],
+        "intersections": [(nid, float(x), float(y)) for nid, x, y in rows.get("intersection", [])],
+        "links": [(lid, a, b, float(length)) for lid, a, b, length in rows.get("link", [])],
+        "households": [
+            (hid, float(x), float(y), comp) for hid, x, y, comp in rows.get("household", [])
+        ],
+        "lights": [tuple(r) for r in rows.get("light", [])],
+        "fuel": [tuple(r) for r in rows.get("fuel", [])],
+    }
 
 
 def bfs_powered(components, edges, plants, conducting):

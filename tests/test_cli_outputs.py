@@ -791,6 +791,20 @@ class TestMainEndToEnd:
         assert err.startswith("error:") and f"{path}:{line}:" in err and named in err
         assert not (tmp_path / "curves.csv").exists()
 
+    def test_plot_data_same_label_exits_2(self, tmp_path, capsys):
+        # both files would give the "component" columns; one must not replace the other
+        paths = []
+        for run in ("r1", "r2"):
+            (tmp_path / run).mkdir()
+            paths.append(tmp_path / run / "timeseries_component.csv")
+            paths[-1].write_text(TIMESERIES_HEADER + "\n0,0,0.5,0.5,3,10\n")
+        rc = main(["plot-data", *map(str, paths), "--out", str(tmp_path / "curves.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'component'" in err
+        assert str(paths[0]) in err and str(paths[1]) in err
+        assert not (tmp_path / "curves.csv").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "make-testbed", "plot-data"])
     def test_unwritable_out_exits_2(
         self, testbed_files, tmp_path, capsys, monkeypatch, command

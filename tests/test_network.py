@@ -14,13 +14,19 @@ from hypothesis import strategies as st
 from stormgrid.engine import SimulationContext, run_replication
 from stormgrid.fragility import FragilityConfig, RepairModel
 from stormgrid.hazard import HazardScenario, WindCell
-from stormgrid.network import NEAREST_CANDIDATES, assign_nearest_road_links, load_networks
+from stormgrid.network import (
+    NEAREST_CANDIDATES,
+    ComponentKind,
+    assign_nearest_road_links,
+    load_networks,
+)
 from stormgrid.restoration import Strategy
 from stormgrid.testbed import TestbedParams, generate_testbed
 
 from .conftest import make_power, make_roads, nearest_links
 from .oracles import (
     bfs_powered,
+    naive_network_records,
     nearest_link,
     nearest_link_positions_brute,
     reference_forest,
@@ -76,12 +82,47 @@ class TestLoadNetworks:
         with pytest.raises(FormatError):
             load_networks(bad, roads, couplings)
 
-    def test_duplicate_component_id(self, toy_files, tmp_path):
-        _, roads, couplings = toy_files
-        bad = tmp_path / "bad_power.txt"
-        bad.write_text("component P plant 0 0\ncomponent P plant 1 1\n")
-        with pytest.raises(FormatError):
-            load_networks(bad, roads, couplings)
+    @pytest.mark.parametrize(
+        "which,text,line_no,rid",
+        [
+            (0, "component P plant 0 0\ncomponent P plant 1 1\n", 2, "P"),
+            (1, "intersection A 0 0\nintersection B 100 0\nintersection A 5 5\n"
+                "link L1 A B 100\n", 3, "A"),
+            (1, "intersection A 0 0\nintersection B 100 0\nlink L1 A B 100\n"
+                "link L1 B A 50\n", 4, "L1"),
+            (2, "household H 10 5 D\nhousehold H 11 5 D\nfuel P A\n", 2, "H"),
+            (2, "household H 10 5 D\nlight SG0 A D\nlight SG0 B D\nfuel P A\n", 3, "SG0"),
+            (2, "household H 10 5 D\nfuel P A\nfuel P B\n", 3, "P"),
+        ],
+        ids=["component", "intersection", "link", "household", "light", "fuel"],
+    )
+    def test_duplicate_id(self, toy_files, tmp_path, which, text, line_no, rid):
+        # ids are unique within each record type, and a plant takes one fuel record
+        files = list(toy_files)
+        files[which] = bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(FormatError) as err:
+            load_networks(*files)
+        assert err.value.path == str(bad) and err.value.line_no == line_no
+        assert "duplicate" in str(err.value) and repr(rid) in str(err.value)
+
+    def test_trailing_comments(self, tmp_path):
+        # every record type, with a comment cut from its end, loads as without
+        texts = {
+            "power.txt": "component P plant 0 0\ncomponent D pole 10 0\nedge P D\n",
+            "roads.txt": "intersection A 0 0\nintersection B 100 0\nlink L1 A B 100\n",
+            "couplings.txt": "household H 10 5 D\nlight SG0 B D\nfuel P A\n",
+        }
+        loaded = []
+        for comment in ("", "   # {tag} record", "#{tag}#again"):
+            folder = tmp_path / str(len(loaded))
+            folder.mkdir()
+            for name, text in texts.items():
+                lines = [ln + comment.format(tag=ln.split()[0]) for ln in text.splitlines()]
+                (folder / name).write_text("\n".join(lines) + "\n")
+            loaded.append(loaded_records(*load_networks(*(folder / n for n in texts))))
+        assert len(loaded[0]["lights"]) == 1 and len(loaded[0]["fuel"]) == 1
+        assert loaded[1] == loaded[0] and loaded[2] == loaded[0]
 
     def test_disconnected_household(self, toy_files, tmp_path):
         power, roads, _ = toy_files
@@ -425,10 +466,92 @@ class TestPoweredFractions:
 
 
 @pytest.fixture(scope="module")
-def default_testbed(tmp_path_factory):
-    files = generate_testbed(TestbedParams(), tmp_path_factory.mktemp("tb_default"))
+def default_files(tmp_path_factory):
+    return generate_testbed(TestbedParams(), tmp_path_factory.mktemp("tb_default"))
+
+
+@pytest.fixture(scope="module")
+def default_testbed(default_files):
+    files = default_files
     net, roads, _ = load_networks(files["power"], files["roads"], files["couplings"])
     return net, roads, nearest_links(net, roads)
+
+
+def loaded_records(net, roads, households):
+    """What :func:`load_networks` built, as the plain tuples of
+    :func:`naive_network_records`."""
+    return {
+        "components": [(c.id, c.kind.value, *c.location) for c in net.components.values()],
+        "edges": list(net.edges),
+        "intersections": [(nid, x, y) for nid, (x, y) in roads.intersections.items()],
+        "links": [(lk.id, *lk.endpoints, lk.length_m) for lk in roads.links.values()],
+        "households": [(hh.id, *hh.location, hh.attachment) for hh in households],
+        "lights": [
+            (tl.id, tl.intersection, tl.feed_component) for tl in roads.traffic_lights.values()
+        ],
+        "fuel": list(net.fuel_source.items()),
+    }
+
+
+_NON_PLANT = [k.value for k in ComponentKind if k is not ComponentKind.PLANT]
+
+
+@st.composite
+def network_texts(draw):
+    """Three small valid network files, each record line shuffled among blank
+    lines and comment lines, with random spacing and trailing comments."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    num = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    length = st.floats(1e-3, 1e5).map(repr)
+    comp = st.sampled_from([f"C{i}" for i in range(n)])
+    inter = st.sampled_from([f"I{j}" for j in range(m)])
+    kinds = ["plant"] + draw(st.lists(st.sampled_from(_NON_PLANT + ["plant"]),
+                                      min_size=n - 1, max_size=n - 1))
+    power = [["component", f"C{i}", kinds[i], draw(num), draw(num)] for i in range(n)]
+    # a tree: each component joins an earlier one, so all reach C0
+    power += [["edge", *draw(st.permutations([f"C{i}", f"C{draw(st.integers(0, i - 1))}"]))]
+              for i in range(1, n)]
+    roads = [["intersection", f"I{j}", draw(num), draw(num)] for j in range(m)]
+    roads += [["link", f"L{k}", draw(inter), draw(inter), draw(length)]
+              for k in range(draw(st.integers(1, 5)))]
+    couplings = [["household", f"H{k}", draw(num), draw(num), draw(comp)]
+                 for k in range(draw(st.integers(0, 5)))]
+    couplings += [["light", f"SG{k}", draw(inter), draw(comp)]
+                  for k in range(draw(st.integers(0, 3)))]
+    couplings += [["fuel", f"C{i}", draw(inter)]
+                  for i in range(n) if kinds[i] == "plant" and draw(st.booleans())]
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    comment = st.sampled_from(["", "#", " # note", "\t#x # y", "# a  b"])
+    texts = []
+    for records in (power, roads, couplings):
+        lines = [draw(st.sampled_from(["", " ", "\t"]))
+                 + "".join(tok + draw(space) for tok in rec[:-1]) + rec[-1]
+                 + draw(st.sampled_from(["", " "])) + draw(comment)
+                 for rec in records]
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# comment", "  #indented #"]),
+                               max_size=4))
+        texts.append("\n".join(draw(st.permutations(lines))) + "\n")
+    return texts
+
+
+class TestReaderOracle:
+    """The table-driven reader against a plain whitespace split."""
+
+    def test_default_testbed(self, default_files):
+        files = [default_files[k] for k in ("power", "roads", "couplings")]
+        got = loaded_records(*load_networks(*files))
+        assert got == naive_network_records(*files)
+        assert len(got["components"]) == 6667 and len(got["households"]) > 0
+        assert got["lights"] and got["fuel"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=network_texts())
+    def test_generated_files(self, tmp_path_factory, texts):
+        folder = tmp_path_factory.mktemp("gen")
+        files = [folder / name for name in ("power.txt", "roads.txt", "couplings.txt")]
+        for path, text in zip(files, texts):
+            path.write_text(text)
+        assert loaded_records(*load_networks(*files)) == naive_network_records(*files)
 
 
 class TestNearestRoadLink:
