@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +22,10 @@ from .errors import (
     StormGridError,
 )
 from .fragility import (
+    DEFAULT_LINE_COLLAPSE_MPH,
+    DEFAULT_LINE_CRITICAL_MPH,
+    DEFAULT_SUBSTATION_LOG_SD,
+    DEFAULT_SUBSTATION_MEDIANS_MPH,
     FragilityConfig,
     LineFragilityParams,
     RepairModel,
@@ -52,103 +55,133 @@ class ScenarioConfig:
     repair: RepairModel
 
 
-_SCENARIO_KEYS = {
-    "wind_mph",
-    "runoff_in",
-    "drainage_in_per_hr",
-    "passable_threshold_in",
-    "fuel_dependence",
-    "crew_access_dependence",
-    "fuel_sources",
-    "substation_fragility",
-    "line_fragility",
-    "repair_overrides",
-}
-
-_KIND_TOKENS = {k.value: k for k in ComponentKind}
-_LEVEL_TOKENS = {lv.value: lv for lv in DamageLevel}
-
-
-def _number(value, integral: bool = False) -> float | int:
-    """A scenario number: a JSON number that is not a boolean.
-
-    With ``integral`` the value must also be whole, and comes back as an int.
-    Wrong values raise ``TypeError``/``ValueError``, which
-    :func:`_scenario_value` reports with the file and key.
-    """
+def _number(value) -> float:
+    """A scenario number: a JSON number that is not a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    if not integral:
-        return float(value)
-    if not float(value).is_integer():
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return int(value)
+    return float(value)
 
 
-def _check_keys(raw, allowed, path, what: str) -> None:
-    """``raw`` must be a JSON object with no keys outside ``allowed``."""
+def _numbers(values, n: int, what: str) -> list[float]:
+    """A list of exactly ``n`` scenario numbers."""
+    if not isinstance(values, list) or len(values) != n:
+        raise ValueError(f"{what} needs {n} numbers, got {values!r}")
+    return [_number(v) for v in values]
+
+
+def _object(raw, allowed, what: str) -> dict:
+    """A JSON object, with no keys outside ``allowed`` unless that is None."""
     if not isinstance(raw, dict):
-        raise FormatError(path, 0, f"{what} must be a JSON object")
-    if unknown := set(raw) - set(allowed):
-        raise FormatError(path, 0, f"unknown {what} keys: {sorted(unknown)}")
+        raise TypeError(f"{what} must be a JSON object")
+    if allowed is not None and (unknown := set(raw) - set(allowed)):
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return raw
 
 
-def _parse_wind(raw, path):
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _hazard(field: str, read=_number):
+    """A reader of one HazardScenario field, checked alone by HazardScenario's
+    own rules so that a bad value is reported under the key it came from."""
+
+    def read_field(raw):
+        value = read(raw)
+        HazardScenario(**{field: value})
+        return value
+
+    return read_field
+
+
+def _wind(raw) -> float | list[WindCell]:
+    if not isinstance(raw, dict):
+        return _number(raw)
+    cells = _object(raw, {"cells"}, "wind_mph").get("cells")
+    if not isinstance(cells, list) or not cells:
+        raise ValueError(f"cells must be a non-empty list, got {cells!r}")
+    return [WindCell(*_numbers(cell, 5, "wind cell")) for cell in cells]
+
+
+def _runoff(raw) -> tuple[float | dict[str, float], float]:
+    """``(initial_runoff_in, runoff_default_in)`` of a HazardScenario."""
     if isinstance(raw, dict):
-        _check_keys(raw, {"cells"}, path, "wind_mph")
-        cells = []
-        for cell in raw["cells"]:
-            if len(cell) != 5:
-                raise FormatError(path, 0, f"wind cell needs 5 values, got {cell}")
-            cells.append(WindCell(*[_number(v) for v in cell]))
-        return cells
-    return _number(raw)
+        _object(raw, {"default", "per_link"}, "runoff_in")
+        per_link = _object(raw.get("per_link", {}), None, "per_link")
+        runoff = {k: _number(v) for k, v in per_link.items()}
+        default = _number(raw.get("default", 0.0))
+    else:
+        runoff, default = _number(raw), 0.0
+    HazardScenario(initial_runoff_in=runoff, runoff_default_in=default)
+    return runoff, default
 
 
-def _parse_repair_overrides(raw, path) -> RepairModel:
-    rows = dict(RepairModel().rows)
-    for key, triple in raw.items():
-        parts = key.split(":")
-        kind_tok = parts[0]
-        if kind_tok not in _KIND_TOKENS:
-            raise FormatError(path, 0, f"unknown component kind in repair row {key!r}")
-        kind = _KIND_TOKENS[kind_tok]
-        level = None
-        if kind is ComponentKind.SUBSTATION:
-            if len(parts) != 2 or parts[1] not in _LEVEL_TOKENS:
-                raise FormatError(
-                    path, 0, f"substation repair rows need a damage level: {key!r}"
-                )
-            level = _LEVEL_TOKENS[parts[1]]
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise FormatError(path, 0, f"repair row {key!r} needs [mean, sd, crews]")
+def _fuel_sources(raw) -> dict[str, tuple[float, float]]:
+    return {
+        plant: tuple(_numbers(xy, 2, f"fuel source {plant!r}"))
+        for plant, xy in _object(raw, None, "fuel_sources").items()
+    }
+
+
+def _substation(raw) -> SubstationFragilityParams:
+    _object(raw, [lv.value for lv in DamageLevel], "substation_fragility")
+    medians, sigmas = {}, {}
+    for lv in DamageLevel:
+        medians[lv], sigmas[lv] = _numbers(raw.get(lv.value), 2, f"level {lv.value!r}")
+    return SubstationFragilityParams.from_medians(medians, sigmas)
+
+
+def _repair(raw) -> RepairModel:
+    """The default repair rows, with each one the file names replaced."""
+    rows = RepairModel().rows
+    for key, row in _object(raw, None, "repair_overrides").items():
+        kind_token, sep, level_token = key.partition(":")
+        kind = ComponentKind(kind_token)
+        level = DamageLevel(level_token) if sep else None
+        if (kind is ComponentKind.SUBSTATION) is (level is None):
+            raise ValueError(f"{key!r} is neither <kind> nor substation:<level>")
         try:
-            rows[(kind, level)] = RepairSpec(
-                _number(triple[0]),
-                _number(triple[1]),
-                _number(triple[2], integral=True),
-            )
+            mean, sd, crews = _numbers(row, 3, "[mean, sd, crews]")
+            if not crews.is_integer():
+                raise ValueError(f"crews must be a whole number, got {crews}")
+            rows[kind, level] = RepairSpec(mean, sd, int(crews))
         except (TypeError, ValueError, RepairModelError) as exc:
-            raise FormatError(path, 0, f"repair row {key!r}: {exc}") from exc
+            raise ValueError(f"repair row {key!r}: {exc}") from exc
     return RepairModel(rows=rows)
 
 
-@contextmanager
-def _scenario_value(path: Path, key: str):
-    """Report a wrong-typed, wrong-shaped or invalid value of ``key`` with the file."""
-    try:
-        yield
-    except (
-        ValueError, TypeError, LookupError, AttributeError, OverflowError,
-        FragilityParamError,
-    ) as exc:
-        raise FormatError(path, 0, f"{key}: {exc}") from exc
+#: Each scenario key: the reader of its value, and the value read when the
+#: key is absent.
+_SCENARIO = {
+    "wind_mph": (_hazard("wind_mph", _wind), 0.0),
+    "runoff_in": (_runoff, 0.0),
+    "drainage_in_per_hr": (
+        _hazard("drainage_in_per_hr"), DEFAULT_DRAINAGE_IN_PER_HR
+    ),
+    "passable_threshold_in": (
+        _hazard("passable_threshold_in"), DEFAULT_PASSABLE_THRESHOLD_IN
+    ),
+    "fuel_dependence": (_flag, True),
+    "crew_access_dependence": (_flag, True),
+    "fuel_sources": (_hazard("fuel_source_coords", _fuel_sources), {}),
+    "substation_fragility": (_substation, {
+        lv.value: [median, DEFAULT_SUBSTATION_LOG_SD]
+        for lv, median in DEFAULT_SUBSTATION_MEDIANS_MPH.items()
+    }),
+    "line_fragility": (
+        lambda raw: LineFragilityParams(*_numbers(raw, 2, "[critical, collapse]")),
+        [DEFAULT_LINE_CRITICAL_MPH, DEFAULT_LINE_COLLAPSE_MPH],
+    ),
+    "repair_overrides": (_repair, {}),
+}
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario JSON file.
 
-    Every bad value raises :class:`FormatError` naming the file.
+    Every bad value raises :class:`FormatError` naming the file and the key.
     """
     path = Path(path)
     try:
@@ -161,89 +194,39 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise FormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
 
-    _check_keys(raw, _SCENARIO_KEYS, path, "scenario")
+    where, value = "", {}
+    try:
+        _object(raw, _SCENARIO, "scenario")
+        for key, (read, default) in _SCENARIO.items():
+            where = f"{key}: "
+            value[key] = read(raw.get(key, default))
+    except (TypeError, ValueError, OverflowError, FragilityParamError) as exc:
+        raise FormatError(path, 0, f"{where}{exc}") from exc
 
-    with _scenario_value(path, "runoff_in"):
-        runoff = raw.get("runoff_in", 0.0)
-        if isinstance(runoff, dict):
-            _check_keys(runoff, {"default", "per_link"}, path, "runoff_in")
-            initial_runoff = {
-                str(k): _number(v) for k, v in runoff.get("per_link", {}).items()
-            }
-            runoff_default = _number(runoff.get("default", 0.0))
-        else:
-            initial_runoff, runoff_default = _number(runoff), 0.0
-
-    with _scenario_value(path, "fuel_sources"):
-        fuel_sources = {
-            str(pid): (_number(x), _number(y))
-            for pid, (x, y) in raw.get("fuel_sources", {}).items()
-        }
-
-    with _scenario_value(path, "drainage_in_per_hr"):
-        drainage = _number(raw.get("drainage_in_per_hr", DEFAULT_DRAINAGE_IN_PER_HR))
-    with _scenario_value(path, "passable_threshold_in"):
-        threshold = _number(
-            raw.get("passable_threshold_in", DEFAULT_PASSABLE_THRESHOLD_IN)
-        )
-    flags = {}
-    for key in ("fuel_dependence", "crew_access_dependence"):
-        flags[key] = raw.get(key, True)
-        if not isinstance(flags[key], bool):
-            raise FormatError(
-                path, 0, f"{key} must be true or false, got {flags[key]!r}"
-            )
-
-    with _scenario_value(path, "wind_mph"):
-        wind = _parse_wind(raw.get("wind_mph", 0.0), path)
-    with _scenario_value(path, "hazard"):
-        hazard = HazardScenario(
-            wind_mph=wind,
-            initial_runoff_in=initial_runoff,
-            runoff_default_in=runoff_default,
-            drainage_in_per_hr=drainage,
-            passable_threshold_in=threshold,
-            fuel_source_coords=fuel_sources,
-            **flags,
-        )
-
-    with _scenario_value(path, "substation_fragility"):
-        if "substation_fragility" not in raw:
-            sub_params = SubstationFragilityParams.from_medians()
-        else:
-            spec = raw["substation_fragility"]
-            _check_keys(spec, _LEVEL_TOKENS, path, "substation_fragility")
-            medians, sigmas = {}, {}
-            for lv in DamageLevel:
-                if lv.value not in spec:
-                    raise FormatError(
-                        path, 0, f"substation_fragility missing level {lv.value!r}"
-                    )
-                med, sd = spec[lv.value]
-                medians[lv] = _number(med)
-                sigmas[lv] = _number(sd)
-            sub_params = SubstationFragilityParams.from_medians(medians, sigmas)
-
-    line_params = LineFragilityParams()
-    if "line_fragility" in raw:
-        with _scenario_value(path, "line_fragility"):
-            crit, coll = raw["line_fragility"]
-            line_params = LineFragilityParams(_number(crit), _number(coll))
-
-    repair = RepairModel()
-    if "repair_overrides" in raw:
-        with _scenario_value(path, "repair_overrides"):
-            repair = _parse_repair_overrides(raw["repair_overrides"], path)
-
-    return ScenarioConfig(
-        hazard=hazard,
-        fragility=FragilityConfig(substation=sub_params, line=line_params),
-        repair=repair,
+    hazard = HazardScenario(
+        wind_mph=value["wind_mph"],
+        initial_runoff_in=value["runoff_in"][0],
+        runoff_default_in=value["runoff_in"][1],
+        drainage_in_per_hr=value["drainage_in_per_hr"],
+        passable_threshold_in=value["passable_threshold_in"],
+        fuel_dependence=value["fuel_dependence"],
+        crew_access_dependence=value["crew_access_dependence"],
+        fuel_source_coords=value["fuel_sources"],
     )
+    fragility = FragilityConfig(value["substation_fragility"], value["line_fragility"])
+    return ScenarioConfig(hazard, fragility, value["repair_overrides"])
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+
+#: The TestbedParams fields that make-testbed takes as flags, each with the
+#: type and default of its field.
+_TESTBED_FLAGS = (
+    "grid_size", "households", "substations", "lights_fraction", "seed",
+    "wind_mph", "runoff_in",
+)
 
 
 def _strategy_list(token: str) -> list[Strategy]:
@@ -284,15 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--no-fuel-dependence", action="store_true")
 
     tb = sub.add_parser("make-testbed", help="generate synthetic input files")
-    tb.add_argument("--grid-size", type=int, default=TestbedParams.grid_size)
-    tb.add_argument("--households", type=int, default=TestbedParams.households)
-    tb.add_argument("--substations", type=int, default=TestbedParams.substations)
-    tb.add_argument(
-        "--lights-fraction", type=float, default=TestbedParams.lights_fraction
-    )
-    tb.add_argument("--seed", type=int, default=TestbedParams.seed)
-    tb.add_argument("--wind-mph", type=float, default=TestbedParams.wind_mph)
-    tb.add_argument("--runoff-in", type=float, default=TestbedParams.runoff_in)
+    for name in _TESTBED_FLAGS:
+        default = getattr(TestbedParams, name)
+        flag = "--" + name.replace("_", "-")
+        tb.add_argument(flag, type=type(default), default=default)
     tb.add_argument("--out", default="testbed")
 
     pd = sub.add_parser("plot-data", help="reshape timeseries CSVs to mean curves")
@@ -335,15 +313,7 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
                 raise ConfigError(f"--{flag}: file not found: {p}")
         ns.strategies = list(dict.fromkeys(ns.strategies))
     elif ns.command == "make-testbed":
-        ns.testbed = TestbedParams(
-            grid_size=ns.grid_size,
-            households=ns.households,
-            substations=ns.substations,
-            lights_fraction=ns.lights_fraction,
-            seed=ns.seed,
-            wind_mph=ns.wind_mph,
-            runoff_in=ns.runoff_in,
-        )
+        ns.testbed = TestbedParams(**{n: getattr(ns, n) for n in _TESTBED_FLAGS})
     return ns
 
 

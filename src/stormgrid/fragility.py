@@ -111,9 +111,9 @@ class LineFragilityParams:
     w_collapse: float = DEFAULT_LINE_COLLAPSE_MPH
 
     def __post_init__(self):
-        if not (0 < self.w_critical < self.w_collapse):
+        if not (0 < self.w_critical < self.w_collapse < math.inf):
             raise FragilityParamError(
-                f"need 0 < w_critical < w_collapse, got "
+                f"need 0 < w_critical < w_collapse < inf, got "
                 f"({self.w_critical}, {self.w_collapse})"
             )
 

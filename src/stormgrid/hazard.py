@@ -59,11 +59,12 @@ class HazardScenario:
             for cell in self.wind_mph:
                 if not (
                     0 <= cell.mph < math.inf
-                    and cell.x_min <= cell.x_max
-                    and cell.y_min <= cell.y_max
+                    and -math.inf < cell.x_min <= cell.x_max < math.inf
+                    and -math.inf < cell.y_min <= cell.y_max < math.inf
                 ):
                     raise ValueError(
-                        f"bad wind cell {cell}: needs finite mph >= 0, min <= max"
+                        f"bad wind cell {cell}: needs finite bounds and mph >= 0, "
+                        "min <= max"
                     )
         _check_range("drainage_in_per_hr", self.drainage_in_per_hr, positive=True)
         _check_range("passable_threshold_in", self.passable_threshold_in)

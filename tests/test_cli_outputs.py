@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormgrid import cli
 from stormgrid.cli import load_scenario, main, parse_cli
@@ -217,6 +219,39 @@ class TestScenarioFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_scenario(tmp_path / "missing.json")
+
+    # Object keys are drawn mostly from those the schema gives meaning, so
+    # that values reach the checks below the top level.
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=6) | st.dictionaries(
+            st.sampled_from([
+                "cells", "default", "per_link", "L0", "GEN0", "moderate", "severe",
+                "complete", "pole", "plant", "substation", "substation:severe",
+                "pole:severe", "bogus",
+            ]) | st.text(max_size=4),
+            inner,
+            max_size=4,
+        ),
+        max_leaves=16,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.sampled_from([
+            "wind_mph", "runoff_in", "drainage_in_per_hr", "passable_threshold_in",
+            "fuel_dependence", "crew_access_dependence", "fuel_sources",
+            "substation_fragility", "line_fragility", "repair_overrides",
+        ]),
+        value=JSON_VALUES,
+    )
+    def test_any_value_loads_or_names_file_and_key(self, tmp_path_factory, key, value):
+        p = tmp_path_factory.getbasetemp() / "any_value.json"
+        p.write_text(json.dumps({key: value}))
+        try:
+            load_scenario(p)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{p}:0: {key}: ")
 
 
 class TestTestbed:
@@ -680,6 +715,14 @@ class TestMainEndToEnd:
                 "moderate": [160.0, 0.2], "severe": [200.0, 0.2],
                 "complete": [250.0, 0.2], "slight": [120.0, 0.2],
             }}, "unknown substation_fragility keys: ['slight']"),
+            ({"line_fragility": [67.1, float("inf")]}, "line_fragility"),
+            ({"wind_mph": {"cells": [[float("-inf"), -1e6, 1e6, 1e6, 90.0]]}},
+             "wind_mph"),
+            ({"wind_mph": {"cells": [[-1e6, -1e6, 1e6, float("inf"), 90.0]]}},
+             "wind_mph"),
+            ({"repair_overrides": {"pole:severe": [50.0, 1.0, 1]}},
+             "repair_overrides"),
+            ({"wind_mph": {"cells": []}}, "wind_mph"),
         ],
         ids=["runoff-string", "drainage-null", "line-one-value", "zero-median",
              "fuel-source-one-coord", "repair-row-scalar", "flag-string",
@@ -687,7 +730,9 @@ class TestMainEndToEnd:
              "drainage-string", "threshold-bool", "runoff-numeric-string",
              "per-link-runoff-string", "line-bool", "median-string",
              "fuel-source-bool", "crews-fraction", "crews-bool", "crews-string",
-             "runoff-unknown-key", "wind-unknown-key", "fragility-unknown-level"],
+             "runoff-unknown-key", "wind-unknown-key", "fragility-unknown-level",
+             "line-infinite-collapse", "wind-cell-infinite-bound",
+             "wind-cell-infinite-top", "repair-level-on-pole", "wind-no-cells"],
     )
     def test_malformed_scenario_value_exits_2_before_networks(
         self, testbed_files, tmp_path, capsys, override, named
